@@ -19,7 +19,7 @@
 //! learned clauses all persist across [`Solver::solve_with`] calls, so
 //! later queries on the same formula start warm.
 
-use alice_intern::Symbol;
+use alice_intern::{splitmix64, Symbol};
 use alice_par::CancelToken;
 use std::collections::HashMap;
 use std::fmt;
@@ -159,16 +159,6 @@ impl Default for SolverConfig {
             seed: 0,
         }
     }
-}
-
-/// splitmix64: the workspace's stand-in PRNG (also used by the sweep's
-/// signature simulation) — here it seeds activity perturbations.
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Indexed max-heap over variable activities (MiniSat's `order_heap`),

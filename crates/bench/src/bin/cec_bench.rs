@@ -17,11 +17,11 @@
 //! * `benchmarks.<name>.attack_p1_ms` / `attack_pN_ms` — SAT-attack
 //!   time against the flow's selected fabric contents (skipped for
 //!   fabrics beyond the attack budget class),
-//! * `benchmarks.<name>.sweep_fresh_ms` / `sweep_incremental_ms` —
-//!   verify stage with a 16-wrong-key corruptibility sweep on one
-//!   worker and a cold store, fresh pinned miter per key
-//!   (`incremental_cec: false`) vs one assumption-parameterized keyed
-//!   miter answering every key (`incremental_cec: true`),
+//! * `benchmarks.<name>.sweep_fresh_ms` / `sweep_incremental_ms` — a
+//!   16-wrong-key corruptibility sweep on one worker and a cold db:
+//!   elaboration, a folded correct-key proof, and one freshly built
+//!   folded miter per unique wrong key, vs the verify stage, whose one
+//!   keyed miter answers the proof and every key by assumption solves,
 //! * `hardest` — the headline number: the slowest `verify_p1_ms` miter
 //!   re-stated with its portfolio time and the improvement fraction
 //!   `(p1 - pN) / p1`, which `bench_diff` compares absolutely,
@@ -42,12 +42,15 @@
 
 use alice_attacks::{sat_attack, sat_attack_portfolio, AttackBudget};
 use alice_benchmarks::Benchmark;
+use alice_cec::{CecResult, Miter};
 use alice_core::config::AliceConfig;
 use alice_core::db::DesignDb;
 use alice_core::design::Design;
 use alice_core::flow::{Flow, FlowOutcome};
 use alice_core::select::ClusterMapper;
-use alice_core::verify::VerifyOutcome;
+use alice_core::verify::{miter_options, VerifyOutcome};
+use alice_verilog::parse_source;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -113,6 +116,40 @@ fn verified_run(b: &Benchmark, design: &Design, cfg: &AliceConfig) -> FlowOutcom
         b.name
     );
     out
+}
+
+/// The fresh-miter baseline of the wrong-key sweep behind `out`, in ms:
+/// elaborates both sides on a cold db, proves the correct key on a
+/// folded miter, then builds one folded miter per unique wrong key,
+/// checking each key's corruption against the keyed sweep's answer.
+fn fresh_sweep_ms(b: &Benchmark, design: &Design, cfg: &AliceConfig, out: &FlowOutcome) -> f64 {
+    let redacted = out.redacted.as_ref().expect("verified runs redact");
+    let wrong_keys = &out.verify.as_ref().expect("verify stage ran").wrong_keys;
+    let started = Instant::now();
+    let db = DesignDb::new();
+    let top = design.hierarchy.top.as_str();
+    let fail = |e: &dyn std::fmt::Display| -> ! { panic!("{}: {e}", b.name) };
+    let golden = db.elaborate(&design.file, top).unwrap_or_else(|e| fail(&e));
+    let parsed = parse_source(&redacted.combined_verilog()).unwrap_or_else(|e| fail(&e));
+    let revised = db.elaborate(&parsed, top).unwrap_or_else(|e| fail(&e));
+    let proof = Miter::build(&golden, &revised, &miter_options(redacted, cfg, &[]))
+        .and_then(|mut m| m.prove(&[]));
+    assert_eq!(proof, Ok(CecResult::Equivalent), "{}: folded proof", b.name);
+    let mut seen = HashSet::new();
+    for wk in wrong_keys.iter().filter(|wk| seen.insert(&wk.flipped)) {
+        let opts = miter_options(redacted, cfg, &wk.flipped);
+        let c = Miter::build(&golden, &revised, &opts)
+            .and_then(|mut m| m.corruption(&[]))
+            .unwrap_or_else(|e| fail(&e));
+        assert_eq!(
+            (c.corrupted.len(), c.total),
+            (wk.corrupted, wk.total),
+            "{}: fresh and keyed corruption of {:?} differ",
+            b.name,
+            wk.flipped
+        );
+    }
+    started.elapsed().as_secs_f64() * 1e3
 }
 
 fn main() -> ExitCode {
@@ -217,15 +254,20 @@ fn main() -> ExitCode {
         // assumption solves against build-and-solve per key. Excluded
         // for the `--all` slow picks (minutes per key).
         if PICKS.contains(&b.name) {
-            let sweep_cfg = |incremental: bool| AliceConfig {
+            let sweep_cfg = AliceConfig {
                 verify_wrong_keys: SWEEP_KEYS,
-                incremental_cec: incremental,
                 portfolio: 1,
                 jobs: 1,
                 ..cfg1.clone()
             };
-            let sf = time_verify(&sweep_cfg(false), &mut None);
-            let si = time_verify(&sweep_cfg(true), &mut None);
+            let mut keyed: Option<FlowOutcome> = None;
+            let si = time_verify(&sweep_cfg, &mut keyed);
+            let keyed = keyed.expect("at least one sample ran");
+            let sf = best(
+                (0..samples)
+                    .map(|_| fresh_sweep_ms(&b, &design, &sweep_cfg, &keyed))
+                    .collect(),
+            );
             eprintln!(
                 "cec_bench: {:<8} sweep({SWEEP_KEYS}) fresh {:>9.1} ms   incremental {:>9.1} ms \
                  ({:.1}% faster)",

@@ -11,9 +11,13 @@
 //!   with constant folding and a structural hash shared across both sides
 //!   of a miter, so the unchanged majority of a redacted design costs no
 //!   clauses,
-//! * [`miter`] — the [`Miter`] builder (shared inputs, XOR-ed outputs,
+//! * [`miter`] — the [`Miter`] (shared inputs, XOR-ed outputs,
 //!   scan-model next-state checks, key/bitstream inputs pinnable or
-//!   free), [`CecResult`] verdicts with [`Counterexample`] witnesses, the
+//!   free), one type for every query: a pinned bitstream is either
+//!   folded to constants ([`Miter::build`]) or kept as assumption slots
+//!   ([`Miter::build_keyed`]) so the correct-key proof and every
+//!   wrong-key query share one long-lived solver. It yields
+//!   [`CecResult`] verdicts with [`Counterexample`] witnesses, the
 //!   exact per-output [`Corruption`] analysis behind the wrong-key
 //!   corruptibility sweep, and [`prove_equivalent_raced`] — a portfolio
 //!   race of diversified solver/encoding configurations with cooperative
@@ -69,6 +73,6 @@ pub use cache::{CachedCorruption, CachedProof};
 pub use encode::{EncodedDff, EncodedNetlist, Encoder};
 pub use miter::{
     miter_fingerprint, prove_equivalent, prove_equivalent_raced, CecResult, Corruption,
-    Counterexample, KeyedMiter, Miter, MiterError, MiterOptions, RaceOutcome,
+    Counterexample, Miter, MiterError, MiterOptions, RaceOutcome,
 };
 pub use sweep::SweepStats;

@@ -12,7 +12,9 @@
 //! pinned to a concrete bitstream (proving the legitimate user's chip
 //! correct) or left free (the attacker's view; a proof then holds for
 //! *every* key, which for a real redaction should instead produce a
-//! counterexample).
+//! counterexample). Pinned registers are either folded to constants at
+//! encode time ([`Miter::build`]) or kept as assumption slots
+//! ([`Miter::build_keyed`]) so one encoding answers many keys.
 
 use crate::encode::{model_value, Encoder};
 use crate::sweep::{const_sig, random_sig, sweep, ConeHash, Sig, SweepSide, SweepStats};
@@ -369,13 +371,71 @@ fn boundary_label(role: &str, ord: u64, bit: u64) -> ConeHash {
     h.finish()
 }
 
-/// The composed miter, ready to solve.
+/// The SAT engine behind a [`Miter`]: one CDCL solver, or a portfolio
+/// racing diversified members on every solve.
+enum Engine {
+    Single(Box<Solver>),
+    Portfolio(PortfolioEngine),
+}
+
+impl Engine {
+    fn get(&mut self) -> &mut dyn SatEngine {
+        match self {
+            Engine::Single(s) => s.as_mut(),
+            Engine::Portfolio(p) => p,
+        }
+    }
+
+    fn get_ref(&self) -> &dyn SatEngine {
+        match self {
+            Engine::Single(s) => s.as_ref(),
+            Engine::Portfolio(p) => p,
+        }
+    }
+}
+
+/// The composed miter of a golden/revised pair, answering equivalence
+/// ([`Miter::prove`]) and corruption ([`Miter::corruption`]) queries
+/// under a key.
+///
+/// The registers named by [`MiterOptions::pin_state`] — the bitstream —
+/// enter the CNF in one of two ways, fixed at build time:
+///
+/// * **folded** ([`Miter::build`]): each pinned register is a constant
+///   at encode time, so the configuration mux trees fold away. The
+///   cheapest encoding for a single key; queried with an empty key.
+/// * **keyed** ([`Miter::build_keyed`]): each pinned register stays a
+///   free variable, an assumption *slot* (its pinned value is ignored
+///   at build time), and every query names concrete values for some or
+///   all slots. The correct-key proof and every wrong-key corruption
+///   analysis then become [`SatEngine::solve_with`] calls on one
+///   long-lived engine: learned clauses, sweep-derived equalities,
+///   variable activities, and saved phases all transfer across keys.
+///   Slots a query leaves unnamed stay free, so the verdict then covers
+///   every value of those bits — the attacker's view.
+///
+/// Every query resets the engine to the root afterwards, so queries may
+/// be posed in any order.
+///
+/// # Equivalence of the two encodings
+///
+/// For any complete key, a keyed query returns a *bit-identical*
+/// corruption set and the same verdict as a folded miter built with the
+/// same bits in [`MiterOptions::pin_state`]: both compute exact answers
+/// to the same logical query, and assumptions constrain the free key
+/// bits to precisely the folded constants. Only wall-clock differs —
+/// the keyed CNF keeps the mux trees the folded encode removes, and in
+/// exchange amortizes encode and search effort across every key.
 pub struct Miter {
-    engine: Box<dyn SatEngine>,
+    engine: Engine,
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,
     shared_state: Vec<(Symbol, Lit)>,
     key_inputs: Vec<(Symbol, Vec<Lit>)>,
     key_state: Vec<(Symbol, Lit)>,
+    /// Keyed miters only: the `pin_state` registers left free, in
+    /// revised `dff_records` order, each with its assumption literal.
+    key_slots: Vec<(Symbol, Lit)>,
+    slot_of: HashMap<Symbol, Lit>,
     /// Difference points: `(name, xor-literal)`.
     diffs: Vec<(String, Lit)>,
     /// The encoder's constant-true literal (to recognize folded diffs).
@@ -384,39 +444,31 @@ pub struct Miter {
     budget: Option<u64>,
 }
 
-/// The solver-agnostic miter body shared by [`Miter`] and [`KeyedMiter`]:
-/// boundary literals, difference points, and the sweep outcome, with the
-/// engine owned by the caller.
-struct MiterCore {
-    shared_inputs: Vec<(Symbol, Vec<Lit>)>,
-    shared_state: Vec<(Symbol, Lit)>,
-    key_inputs: Vec<(Symbol, Vec<Lit>)>,
-    key_state: Vec<(Symbol, Lit)>,
-    /// Keyed mode only: the `pin_state` registers left free, in revised
-    /// `dff_records` order, each with its assumption-slot literal.
-    key_slots: Vec<(Symbol, Lit)>,
-    diffs: Vec<(String, Lit)>,
-    tru: Lit,
-    sweep_stats: SweepStats,
-}
-
-/// Encodes the miter of `a` against `b` into `s`.
+/// Encodes the miter of `a` against `b` into a fresh engine.
 ///
-/// `keyed = false` is the classic path: [`MiterOptions::pin_state`]
-/// registers fold to constants at encode time. `keyed = true` leaves
-/// them as *free* variables instead, recording one assumption slot per
-/// register, so the caller can pose per-key queries as assumption sets
-/// over one long-lived engine. Free key slots label their sweep cones
-/// exactly like ordinary free key state (`keystate` by revised ordinal):
-/// a lemma proven with the key free holds for every key, so it is sound
-/// wherever a free-key lemma is.
+/// `keyed = false` folds [`MiterOptions::pin_state`] registers to
+/// constants; `keyed = true` leaves them free and records one
+/// assumption slot per register. Free key slots label their sweep
+/// cones exactly like ordinary free key state (`keystate` by revised
+/// ordinal): a lemma proven with the key free holds for every key, so
+/// it is sound wherever a free-key lemma is.
 fn assemble(
-    s: &mut dyn SatEngine,
     a: &Netlist,
     b: &Netlist,
     opts: &MiterOptions,
     keyed: bool,
-) -> Result<MiterCore, MiterError> {
+    portfolio: usize,
+) -> Result<Miter, MiterError> {
+    let _span = alice_obs::span("cec.build");
+    let mut engine = if portfolio > 1 {
+        let mut configs = diversified_configs(portfolio);
+        configs[0] = opts.solver_config;
+        Engine::Portfolio(PortfolioEngine::with_configs(configs))
+    } else {
+        Engine::Single(Box::new(Solver::with_config(opts.solver_config)))
+    };
+    let s = engine.get();
+    s.set_cancel(opts.cancel.clone());
     let mut enc = Encoder::new(&mut *s);
     // Deterministic signature words for the sweeping pass, built in
     // lockstep with the literal bindings: shared literal ⇒ shared
@@ -656,322 +708,58 @@ fn assemble(
         }
     }
 
-    Ok(MiterCore {
+    let slot_of = key_slots.iter().copied().collect();
+    Ok(Miter {
+        engine,
         shared_inputs,
         shared_state,
         key_inputs,
         key_state,
         key_slots,
+        slot_of,
         diffs,
         tru: enc.tru(),
         sweep_stats,
+        budget: opts.conflict_budget,
     })
-}
-
-/// Reads a [`Counterexample`] out of the engine's current model.
-fn extract_model_cex(
-    s: &dyn SatEngine,
-    shared_inputs: &[(Symbol, Vec<Lit>)],
-    shared_state: &[(Symbol, Lit)],
-    key_inputs: &[(Symbol, Vec<Lit>)],
-    key_state: &[(Symbol, Lit)],
-    diffs_true: Vec<String>,
-) -> Box<Counterexample> {
-    let port = |ports: &[(Symbol, Vec<Lit>)]| -> Vec<(Symbol, Vec<bool>)> {
-        ports
-            .iter()
-            .map(|(n, lits)| (*n, lits.iter().map(|&l| model_value(s, l)).collect()))
-            .collect()
-    };
-    let bits = |regs: &[(Symbol, Lit)]| -> Vec<(Symbol, bool)> {
-        regs.iter().map(|(n, l)| (*n, model_value(s, *l))).collect()
-    };
-    Box::new(Counterexample {
-        inputs: port(shared_inputs),
-        state: bits(shared_state),
-        key_inputs: port(key_inputs),
-        key_state: bits(key_state),
-        diffs: diffs_true,
-    })
-}
-
-/// Difference points that are true under the engine's current model.
-fn model_diff_names_of(s: &dyn SatEngine, diffs: &[(String, Lit)]) -> Vec<String> {
-    diffs
-        .iter()
-        .filter(|&&(_, d)| model_value(s, d))
-        .map(|(n, _)| n.clone())
-        .collect()
 }
 
 impl Miter {
-    /// Builds the miter of golden `a` against revised `b`.
+    /// Builds the folded miter of golden `a` against revised `b`:
+    /// [`MiterOptions::pin_state`] registers become constants. Query it
+    /// with an empty key.
     ///
     /// # Errors
     ///
     /// Returns [`MiterError`] when the two netlists' boundaries cannot be
     /// paired (see the variants for the exact conditions).
     pub fn build(a: &Netlist, b: &Netlist, opts: &MiterOptions) -> Result<Miter, MiterError> {
-        let _span = alice_obs::span("cec.build");
-        let mut solver = Solver::with_config(opts.solver_config);
-        solver.set_cancel(opts.cancel.clone());
-        let core = assemble(&mut solver, a, b, opts, false)?;
-        Ok(Miter {
-            engine: Box::new(solver),
-            shared_inputs: core.shared_inputs,
-            shared_state: core.shared_state,
-            key_inputs: core.key_inputs,
-            key_state: core.key_state,
-            diffs: core.diffs,
-            tru: core.tru,
-            sweep_stats: core.sweep_stats,
-            budget: opts.conflict_budget,
-        })
+        assemble(a, b, opts, false, 1)
     }
 
-    /// Number of compared difference points (output bits + paired
-    /// next-state functions).
-    pub fn diff_points(&self) -> usize {
-        self.diffs.len()
-    }
-
-    /// CNF statistics: `(variables, clauses)` of the composed miter.
-    pub fn cnf_size(&self) -> (usize, usize) {
-        (self.engine.num_vars(), self.engine.num_clauses())
-    }
-
-    fn extract_cex(&self, diffs_true: Vec<String>) -> Box<Counterexample> {
-        extract_model_cex(
-            self.engine.as_ref(),
-            &self.shared_inputs,
-            &self.shared_state,
-            &self.key_inputs,
-            &self.key_state,
-            diffs_true,
-        )
-    }
-
-    /// Statistics of the SAT-sweeping pass that ran at build time.
-    pub fn sweep_stats(&self) -> SweepStats {
-        self.sweep_stats
-    }
-
-    /// Proves equivalence over all difference points, one assumption
-    /// query per point (learned clauses are shared across queries).
-    pub fn prove(self) -> CecResult {
-        self.prove_with_stats().0
-    }
-
-    /// [`Miter::prove`], also reporting the engine's total search effort
-    /// (sweeping plus the proof itself) — what the portfolio race
-    /// surfaces as the winner's statistics.
-    pub fn prove_with_stats(mut self) -> (CecResult, EngineStats) {
-        let r = self.prove_inner();
-        (r, self.engine.stats())
-    }
-
-    fn prove_inner(&mut self) -> CecResult {
-        let _span = alice_obs::span("cec.prove");
-        self.engine.set_budget(self.budget);
-        let mut limited = false;
-        for i in 0..self.diffs.len() {
-            let d = self.diffs[i].1;
-            if self.is_const_false(d) {
-                continue; // folded to the same literal — trivially equal
-            }
-            if d == self.tru {
-                // Folded to provably different — the verdict needs no
-                // search. Solve without a budget for a witness model
-                // (circuit-consistency CNF alone is always satisfiable);
-                // if that somehow fails — e.g. the race was cancelled —
-                // still report the folded points.
-                self.engine.set_budget(None);
-                let names = if self.engine.solve() == SatResult::Sat {
-                    self.model_diff_names()
-                } else {
-                    self.diffs
-                        .iter()
-                        .filter(|&&(_, p)| p == self.tru)
-                        .map(|(n, _)| n.clone())
-                        .collect()
-                };
-                return CecResult::NotEquivalent(self.extract_cex(names));
-            }
-            match self.engine.solve_with(&[d]) {
-                SatResult::Unsat => {}
-                SatResult::Unknown => limited = true,
-                SatResult::Sat => {
-                    let names = self.model_diff_names();
-                    return CecResult::NotEquivalent(self.extract_cex(names));
-                }
-            }
-        }
-        if limited {
-            CecResult::ResourceLimit
-        } else {
-            CecResult::Equivalent
-        }
-    }
-
-    /// Computes the exact set of corruptible difference points under the
-    /// current constraints (each marked point disagrees for some input;
-    /// when `complete`, every unmarked point is proven to always agree).
+    /// Builds the keyed miter of golden `a` against revised `b`:
+    /// [`MiterOptions::pin_state`] registers become assumption slots.
     ///
-    /// Every SAT model marks *all* points that differ under it, so the
-    /// number of solver calls is bounded by the number of corruptible
-    /// points plus the number of clean points.
-    pub fn corruption(mut self) -> Corruption {
-        let _span = alice_obs::span("cec.corruption");
-        self.engine.set_budget(self.budget);
-        let total = self.diffs.len();
-        let mut corrupted: BTreeSet<String> = BTreeSet::new();
-        let mut complete = true;
-        for i in 0..self.diffs.len() {
-            let (name, d) = self.diffs[i].clone();
-            if corrupted.contains(&name) || self.is_const_false(d) {
-                continue;
-            }
-            if d == self.tru {
-                corrupted.insert(name);
-                continue;
-            }
-            match self.engine.solve_with(&[d]) {
-                SatResult::Unsat => {}
-                SatResult::Unknown => complete = false,
-                SatResult::Sat => {
-                    for n in self.model_diff_names() {
-                        corrupted.insert(n);
-                    }
-                }
-            }
-        }
-        Corruption {
-            corrupted,
-            total,
-            complete,
-        }
-    }
-
-    fn is_const_false(&self, d: Lit) -> bool {
-        d == self.tru.negate()
-    }
-
-    fn model_diff_names(&self) -> Vec<String> {
-        model_diff_names_of(self.engine.as_ref(), &self.diffs)
-    }
-}
-
-/// The long-lived engine behind a [`KeyedMiter`]: one CDCL solver, or a
-/// portfolio racing diversified members on every assumption solve.
-enum KeyedEngine {
-    Single(Box<Solver>),
-    Portfolio(PortfolioEngine),
-}
-
-impl KeyedEngine {
-    fn as_engine(&mut self) -> &mut dyn SatEngine {
-        match self {
-            KeyedEngine::Single(s) => s.as_mut(),
-            KeyedEngine::Portfolio(p) => p,
-        }
-    }
-
-    fn as_engine_ref(&self) -> &dyn SatEngine {
-        match self {
-            KeyedEngine::Single(s) => s.as_ref(),
-            KeyedEngine::Portfolio(p) => p,
-        }
-    }
-}
-
-/// An assumption-parameterized key miter: the golden/revised pair
-/// encoded **once** with the bitstream registers left as *free*
-/// variables, so the correct-key equivalence proof and every wrong-key
-/// corruption analysis become [`SatEngine::solve_with`] calls on one
-/// long-lived engine. Learned clauses, sweep-derived equalities,
-/// variable activities, and saved phases all transfer across keys —
-/// the per-key cost is one assumption solve instead of a fresh Tseitin
-/// encode plus a cold CDCL search.
-///
-/// The registers named by [`MiterOptions::pin_state`] define the
-/// assumption *slots* (their pinned values are ignored at build time);
-/// every query supplies concrete values for some or all slots via
-/// [`KeyedMiter::prove`] / [`KeyedMiter::corruption`]. Slots a query
-/// leaves unnamed stay free, so the verdict then covers every value of
-/// the unnamed bits — the attacker's view, exactly as in a keyless
-/// [`Miter`].
-///
-/// # Equivalence with the pinned-constant path
-///
-/// For any complete key, `prove`/`corruption` return *bit-identical*
-/// verdicts and corruption sets to a fresh [`Miter`] built with the
-/// same bits in [`MiterOptions::pin_state`]: both paths compute exact
-/// answers to the same logical query, and assumptions constrain the
-/// free key bits to precisely the pinned constants. What changes is
-/// only wall-clock — the keyed CNF keeps the configuration mux trees
-/// the pinned encode would have constant-folded, and in exchange
-/// amortizes encode and search effort across all N keys of a sweep.
-pub struct KeyedMiter {
-    engine: KeyedEngine,
-    shared_inputs: Vec<(Symbol, Vec<Lit>)>,
-    shared_state: Vec<(Symbol, Lit)>,
-    key_inputs: Vec<(Symbol, Vec<Lit>)>,
-    key_state: Vec<(Symbol, Lit)>,
-    key_slots: Vec<(Symbol, Lit)>,
-    slot_of: HashMap<Symbol, Lit>,
-    diffs: Vec<(String, Lit)>,
-    tru: Lit,
-    sweep_stats: SweepStats,
-    budget: Option<u64>,
-}
-
-impl KeyedMiter {
-    /// Builds the keyed miter of golden `a` against revised `b`.
-    ///
-    /// `portfolio > 1` backs the miter with a [`PortfolioEngine`] of
-    /// that many diversified members (member 0 keeps the caller's
-    /// [`MiterOptions::solver_config`]), racing every assumption solve;
-    /// otherwise a single [`Solver`] is used. Portfolio racing steers
-    /// wall-clock only — verdicts are identical for every member.
+    /// `portfolio > 1` backs the miter with a [`PortfolioEngine`] of that
+    /// many diversified members (member 0 keeps the caller's
+    /// [`MiterOptions::solver_config`]), racing every solve; otherwise a
+    /// single [`Solver`] is used. Racing steers wall-clock only.
     ///
     /// # Errors
     ///
-    /// Returns [`MiterError`] when the two netlists' boundaries cannot
-    /// be paired (the same conditions as [`Miter::build`]).
-    pub fn build(
+    /// The same conditions as [`Miter::build`].
+    pub fn build_keyed(
         a: &Netlist,
         b: &Netlist,
         opts: &MiterOptions,
         portfolio: usize,
-    ) -> Result<KeyedMiter, MiterError> {
-        let _span = alice_obs::span("cec.keyed_build");
-        let mut engine = if portfolio > 1 {
-            let mut configs = diversified_configs(portfolio);
-            configs[0] = opts.solver_config;
-            KeyedEngine::Portfolio(PortfolioEngine::with_configs(configs))
-        } else {
-            KeyedEngine::Single(Box::new(Solver::with_config(opts.solver_config)))
-        };
-        engine.as_engine().set_cancel(opts.cancel.clone());
-        let core = assemble(engine.as_engine(), a, b, opts, true)?;
-        let slot_of = core.key_slots.iter().copied().collect();
-        Ok(KeyedMiter {
-            engine,
-            shared_inputs: core.shared_inputs,
-            shared_state: core.shared_state,
-            key_inputs: core.key_inputs,
-            key_state: core.key_state,
-            key_slots: core.key_slots,
-            slot_of,
-            diffs: core.diffs,
-            tru: core.tru,
-            sweep_stats: core.sweep_stats,
-            budget: opts.conflict_budget,
-        })
+    ) -> Result<Miter, MiterError> {
+        assemble(a, b, opts, true, portfolio)
     }
 
     /// The assumption slots, in revised `dff_records` order: one
-    /// `(register, free literal)` per [`MiterOptions::pin_state`] entry.
+    /// `(register, free literal)` per [`MiterOptions::pin_state`] entry
+    /// of a keyed miter; empty for a folded one.
     pub fn key_slots(&self) -> &[(Symbol, Lit)] {
         &self.key_slots
     }
@@ -982,9 +770,9 @@ impl KeyedMiter {
         self.diffs.len()
     }
 
-    /// CNF statistics: `(variables, clauses)` of the keyed miter.
+    /// CNF statistics: `(variables, clauses)` of the composed miter.
     pub fn cnf_size(&self) -> (usize, usize) {
-        let e = self.engine.as_engine_ref();
+        let e = self.engine.get_ref();
         (e.num_vars(), e.num_clauses())
     }
 
@@ -993,17 +781,43 @@ impl KeyedMiter {
         self.sweep_stats
     }
 
-    /// Cumulative engine search effort across every query so far.
+    /// Cumulative engine search effort (sweeping plus every query so
+    /// far).
     pub fn stats(&self) -> EngineStats {
-        self.engine.as_engine_ref().stats()
+        self.engine.get_ref().stats()
     }
 
     /// Per-config win counts of the backing portfolio, when
-    /// [`KeyedMiter::build`] was given `portfolio > 1`.
+    /// [`Miter::build_keyed`] was given `portfolio > 1`.
     pub fn portfolio_stats(&self) -> Option<PortfolioStats> {
         match &self.engine {
-            KeyedEngine::Portfolio(p) => Some(p.portfolio_stats()),
-            KeyedEngine::Single(_) => None,
+            Engine::Portfolio(p) => Some(p.portfolio_stats()),
+            Engine::Single(_) => None,
+        }
+    }
+
+    /// Packages `result`, a verdict of this miter, with the miter's size
+    /// and search effort. A portfolio-backed miter names the member that
+    /// won the most solves as the winner.
+    pub fn outcome(&self, result: CecResult) -> RaceOutcome {
+        let (configs, winner) = self.portfolio_stats().map_or((1, 0), |ps| {
+            let winner = ps
+                .wins
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &n)| n)
+                .map_or(0, |(w, _)| w);
+            (ps.configs, winner)
+        });
+        let (cnf_vars, cnf_clauses) = self.cnf_size();
+        RaceOutcome {
+            result,
+            winner,
+            stats: self.stats(),
+            configs,
+            diff_points: self.diff_points(),
+            cnf_vars,
+            cnf_clauses,
         }
     }
 
@@ -1013,7 +827,7 @@ impl KeyedMiter {
     /// # Errors
     ///
     /// [`MiterError::UnknownPin`] when `key` names a register that is
-    /// not an assumption slot.
+    /// not an assumption slot (every register, for a folded miter).
     pub fn assumptions(&self, key: &[(Symbol, bool)]) -> Result<Vec<Lit>, MiterError> {
         key.iter()
             .map(|&(name, v)| match self.slot_of.get(&name) {
@@ -1023,19 +837,18 @@ impl KeyedMiter {
             .collect()
     }
 
-    /// Proves equivalence under `key`, one assumption query per
-    /// difference point — the incremental counterpart of
-    /// [`Miter::prove`]. The engine is reset to the root afterwards, so
-    /// the next key starts from a coherent level-0 state.
+    /// Proves equivalence under `key` over all difference points, one
+    /// assumption query per point (learned clauses are shared across
+    /// points and across queries).
     ///
     /// # Errors
     ///
-    /// [`MiterError::UnknownPin`] when `key` names an unknown register.
+    /// [`MiterError::UnknownPin`] when `key` names an unknown slot.
     pub fn prove(&mut self, key: &[(Symbol, bool)]) -> Result<CecResult, MiterError> {
         let mut assumptions = self.assumptions(key)?;
         let _span = alice_obs::span("cec.prove");
         let budget = self.budget;
-        self.engine.as_engine().set_budget(budget);
+        self.engine.get().set_budget(budget);
         let mut verdict = None;
         let mut limited = false;
         for i in 0..self.diffs.len() {
@@ -1048,9 +861,9 @@ impl KeyedMiter {
                 // only for a witness consistent with this key (the
                 // circuit CNF plus a consistent key assignment is
                 // always satisfiable), without a budget.
-                self.engine.as_engine().set_budget(None);
-                let r = self.engine.as_engine().solve_with(&assumptions);
-                self.engine.as_engine().set_budget(budget);
+                self.engine.get().set_budget(None);
+                let r = self.engine.get().solve_with(&assumptions);
+                self.engine.get().set_budget(budget);
                 if r != SatResult::Sat {
                     // Cancelled mid-witness: still report folded points.
                     let names = self
@@ -1065,7 +878,7 @@ impl KeyedMiter {
                 SatResult::Sat
             } else {
                 assumptions.push(d);
-                let r = self.engine.as_engine().solve_with(&assumptions);
+                let r = self.engine.get().solve_with(&assumptions);
                 assumptions.pop();
                 r
             };
@@ -1079,7 +892,7 @@ impl KeyedMiter {
                 }
             }
         }
-        self.engine.as_engine().reset_to_root();
+        self.engine.get().reset_to_root();
         Ok(verdict.unwrap_or(if limited {
             CecResult::ResourceLimit
         } else {
@@ -1087,19 +900,21 @@ impl KeyedMiter {
         }))
     }
 
-    /// Computes the exact corruptible-point set under `key` — the
-    /// incremental counterpart of [`Miter::corruption`], with identical
-    /// semantics (every SAT model marks all points differing under it;
-    /// `complete` is false only on budget exhaustion). The engine is
-    /// reset to the root afterwards.
+    /// Computes the exact set of corruptible difference points under
+    /// `key` (each marked point disagrees for some input; when
+    /// `complete`, every unmarked point is proven to always agree).
+    ///
+    /// Every SAT model marks *all* points that differ under it, so the
+    /// number of solver calls is bounded by the number of corruptible
+    /// points plus the number of clean points.
     ///
     /// # Errors
     ///
-    /// [`MiterError::UnknownPin`] when `key` names an unknown register.
+    /// [`MiterError::UnknownPin`] when `key` names an unknown slot.
     pub fn corruption(&mut self, key: &[(Symbol, bool)]) -> Result<Corruption, MiterError> {
         let mut assumptions = self.assumptions(key)?;
         let _span = alice_obs::span("cec.corruption");
-        self.engine.as_engine().set_budget(self.budget);
+        self.engine.get().set_budget(self.budget);
         let total = self.diffs.len();
         let mut corrupted: BTreeSet<String> = BTreeSet::new();
         let mut complete = true;
@@ -1113,19 +928,15 @@ impl KeyedMiter {
                 continue;
             }
             assumptions.push(d);
-            let r = self.engine.as_engine().solve_with(&assumptions);
+            let r = self.engine.get().solve_with(&assumptions);
             assumptions.pop();
             match r {
                 SatResult::Unsat => {}
                 SatResult::Unknown => complete = false,
-                SatResult::Sat => {
-                    for n in self.model_diff_names() {
-                        corrupted.insert(n);
-                    }
-                }
+                SatResult::Sat => corrupted.extend(self.model_diff_names()),
             }
         }
-        self.engine.as_engine().reset_to_root();
+        self.engine.get().reset_to_root();
         Ok(Corruption {
             corrupted,
             total,
@@ -1133,19 +944,35 @@ impl KeyedMiter {
         })
     }
 
-    fn extract_cex(&self, diffs_true: Vec<String>) -> Box<Counterexample> {
-        extract_model_cex(
-            self.engine.as_engine_ref(),
-            &self.shared_inputs,
-            &self.shared_state,
-            &self.key_inputs,
-            &self.key_state,
-            diffs_true,
-        )
+    /// Reads a [`Counterexample`] out of the engine's current model.
+    fn extract_cex(&self, diffs: Vec<String>) -> Box<Counterexample> {
+        let s = self.engine.get_ref();
+        let port = |ports: &[(Symbol, Vec<Lit>)]| -> Vec<(Symbol, Vec<bool>)> {
+            ports
+                .iter()
+                .map(|(n, lits)| (*n, lits.iter().map(|&l| model_value(s, l)).collect()))
+                .collect()
+        };
+        let bits = |regs: &[(Symbol, Lit)]| -> Vec<(Symbol, bool)> {
+            regs.iter().map(|(n, l)| (*n, model_value(s, *l))).collect()
+        };
+        Box::new(Counterexample {
+            inputs: port(&self.shared_inputs),
+            state: bits(&self.shared_state),
+            key_inputs: port(&self.key_inputs),
+            key_state: bits(&self.key_state),
+            diffs,
+        })
     }
 
+    /// Difference points that are true under the engine's current model.
     fn model_diff_names(&self) -> Vec<String> {
-        model_diff_names_of(self.engine.as_engine_ref(), &self.diffs)
+        let s = self.engine.get_ref();
+        self.diffs
+            .iter()
+            .filter(|&&(_, d)| model_value(s, d))
+            .map(|(n, _)| n.clone())
+            .collect()
     }
 }
 
@@ -1170,16 +997,18 @@ impl KeyedMiter {
 /// assert_eq!(prove_equivalent(&n, &n), Ok(CecResult::Equivalent));
 /// ```
 pub fn prove_equivalent(a: &Netlist, b: &Netlist) -> Result<CecResult, MiterError> {
-    Ok(Miter::build(a, b, &MiterOptions::default())?.prove())
+    Miter::build(a, b, &MiterOptions::default())?.prove(&[])
 }
 
-/// Outcome of a raced equivalence proof (see [`prove_equivalent_raced`]).
+/// A verdict with the size and search effort of the miter behind it
+/// (see [`prove_equivalent_raced`] and [`Miter::outcome`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaceOutcome {
     /// The winning configuration's verdict.
     pub result: CecResult,
-    /// Index of the configuration that answered first (0 is always the
-    /// caller's exact options — today's single-solver behavior).
+    /// Index of the winning configuration: the first to answer in a
+    /// race, the one with the most won solves in a portfolio-backed
+    /// miter. 0 is always the caller's exact options.
     pub winner: usize,
     /// Search effort (sweeping + proof) spent by the winner.
     pub stats: EngineStats,
@@ -1244,19 +1073,9 @@ pub fn prove_equivalent_raced(
     jobs: usize,
 ) -> Result<RaceOutcome, MiterError> {
     if n <= 1 {
-        let m = Miter::build(a, b, opts)?;
-        let diff_points = m.diff_points();
-        let (cnf_vars, cnf_clauses) = m.cnf_size();
-        let (result, stats) = m.prove_with_stats();
-        return Ok(RaceOutcome {
-            result,
-            winner: 0,
-            stats,
-            configs: 1,
-            diff_points,
-            cnf_vars,
-            cnf_clauses,
-        });
+        let mut m = Miter::build(a, b, opts)?;
+        let result = m.prove(&[])?;
+        return Ok(m.outcome(result));
     }
     let configs = diversified_configs(n);
     let outcome = race(n, jobs, |i, token| {
@@ -1265,31 +1084,22 @@ pub fn prove_equivalent_raced(
         }
         let _span = alice_obs::span_with("cec.race_candidate", || format!("config {i}"));
         let o = diversified_options(opts, i, &configs, token);
-        match Miter::build(a, b, &o) {
-            Err(e) => Some(Err(e)),
-            Ok(m) => {
-                let diff_points = m.diff_points();
-                let (cnf_vars, cnf_clauses) = m.cnf_size();
-                match m.prove_with_stats() {
-                    (CecResult::ResourceLimit, _) => None,
-                    (r, stats) => Some(Ok((r, stats, diff_points, cnf_vars, cnf_clauses))),
-                }
-            }
+        let run = || -> Result<RaceOutcome, MiterError> {
+            let mut m = Miter::build(a, b, &o)?;
+            let result = m.prove(&[])?;
+            Ok(RaceOutcome {
+                winner: i,
+                configs: n,
+                ..m.outcome(result)
+            })
+        };
+        match run() {
+            Ok(ro) if ro.result == CecResult::ResourceLimit => None,
+            r => Some(r),
         }
     });
     match outcome {
-        Some((winner, Ok((result, stats, diff_points, cnf_vars, cnf_clauses)))) => {
-            Ok(RaceOutcome {
-                result,
-                winner,
-                stats,
-                configs: n,
-                diff_points,
-                cnf_vars,
-                cnf_clauses,
-            })
-        }
-        Some((_, Err(e))) => Err(e),
+        Some((_, r)) => r,
         None => Ok(RaceOutcome {
             result: CecResult::ResourceLimit,
             winner: 0,
@@ -1468,15 +1278,23 @@ mod tests {
 
         let free = Miter::build(&a_nl, &b_nl, &MiterOptions::default())
             .expect("builds")
-            .prove();
+            .prove(&[])
+            .expect("no key");
         assert!(matches!(free, CecResult::NotEquivalent(_)));
 
         let opts = MiterOptions {
             pin_state: vec![(Symbol::intern("top.le0.cfg[0]"), false)],
             ..MiterOptions::default()
         };
-        let pinned = Miter::build(&a_nl, &b_nl, &opts).expect("builds").prove();
-        assert_eq!(pinned, CecResult::Equivalent);
+        let mut folded = Miter::build(&a_nl, &b_nl, &opts).expect("builds");
+        assert!(folded.key_slots().is_empty(), "folded pins are constants");
+        assert_eq!(folded.prove(&[]), Ok(CecResult::Equivalent));
+        // A folded register is no assumption slot, so naming it is an
+        // error rather than a silently ignored key.
+        assert_eq!(
+            folded.prove(&opts.pin_state),
+            Err(MiterError::UnknownPin("top.le0.cfg[0]".to_string()))
+        );
     }
 
     #[test]
@@ -1496,7 +1314,8 @@ mod tests {
 
         let c = Miter::build(&a_nl, &b_nl, &MiterOptions::default())
             .expect("builds")
-            .corruption();
+            .corruption(&[])
+            .expect("no key");
         assert!(c.complete);
         assert_eq!(c.total, 2);
         assert_eq!(
@@ -1640,7 +1459,10 @@ mod tests {
             conflict_budget: Some(0),
             ..MiterOptions::default()
         };
-        let r = Miter::build(&a_nl, &b_nl, &opts).expect("builds").prove();
+        let r = Miter::build(&a_nl, &b_nl, &opts)
+            .expect("builds")
+            .prove(&[])
+            .expect("no key");
         // Commutated operands strash to the same nodes, so this may fold
         // to Equivalent without search; accept either outcome but never a
         // counterexample.
@@ -1677,7 +1499,10 @@ mod tests {
         // proves every loser was cancelled and joined.
         let (a, b) = adder_pair();
         let opts = MiterOptions::default();
-        let single = Miter::build(&a, &b, &opts).expect("builds").prove();
+        let single = Miter::build(&a, &b, &opts)
+            .expect("builds")
+            .prove(&[])
+            .expect("no key");
         let raced = prove_equivalent_raced(&a, &b, &opts, 3, 3).expect("builds");
         assert_eq!(raced.result, single);
         assert_eq!(raced.result, CecResult::Equivalent);
@@ -1767,11 +1592,11 @@ mod tests {
             lemma_store: Some(Arc::clone(&store)),
             ..MiterOptions::default()
         };
-        let m = Miter::build(&a, &b, &opts).expect("builds");
+        let mut m = Miter::build(&a, &b, &opts).expect("builds");
         let s1 = m.sweep_stats();
         assert!(s1.merged > 0, "sweep must stitch the xor decompositions");
         assert_eq!(s1.lemma_hits, 0, "cold store cannot serve lemmas");
-        assert_eq!(m.prove(), CecResult::Equivalent);
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
         store.flush().expect("flush");
         drop(store);
         drop(opts);
@@ -1784,7 +1609,7 @@ mod tests {
             lemma_store: Some(Arc::clone(&store)),
             ..MiterOptions::default()
         };
-        let m = Miter::build(&a, &b, &opts).expect("builds");
+        let mut m = Miter::build(&a, &b, &opts).expect("builds");
         let s2 = m.sweep_stats();
         assert!(s2.lemma_hits > 0, "warm lemmas must be served: {s2:?}");
         assert_eq!(s2.merged, s1.merged, "lemmas change cost, not merges");
@@ -1792,7 +1617,7 @@ mod tests {
             s2.candidates - s2.lemma_hits < s1.candidates,
             "warm run must pose fewer per-pair SAT proofs ({s2:?} vs {s1:?})"
         );
-        assert_eq!(m.prove(), CecResult::Equivalent);
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1842,11 +1667,11 @@ mod tests {
 
         let store = Arc::new(Store::open(&dir).expect("open"));
         let o0 = pin(false, &store);
-        let m = Miter::build(&g, &r, &o0).expect("builds");
+        let mut m = Miter::build(&g, &r, &o0).expect("builds");
         let s1 = m.sweep_stats();
         assert!(s1.merged > 0);
         assert_eq!(s1.lemma_hits, 0);
-        assert_eq!(m.prove(), CecResult::Equivalent);
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
         store.flush().expect("flush");
         drop(store);
 
@@ -1857,7 +1682,7 @@ mod tests {
             miter_fingerprint(&g, &r, &o1),
             "different pinned key bits must be a whole-miter cache miss"
         );
-        let m = Miter::build(&g, &r, &o1).expect("builds");
+        let mut m = Miter::build(&g, &r, &o1).expect("builds");
         let s2 = m.sweep_stats();
         assert!(
             s2.lemma_hits > 0,
@@ -1867,7 +1692,7 @@ mod tests {
             s2.candidates - s2.lemma_hits < s1.candidates,
             "warm novel miter must pose fewer per-pair SAT proofs ({s2:?} vs {s1:?})"
         );
-        assert_eq!(m.prove(), CecResult::Equivalent);
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1894,8 +1719,8 @@ mod tests {
             cancel: Some(token),
             ..MiterOptions::default()
         };
-        let m = Miter::build(&a, &b, &opts).expect("builds");
-        assert_eq!(m.prove(), CecResult::ResourceLimit);
+        let mut m = Miter::build(&a, &b, &opts).expect("builds");
+        assert_eq!(m.prove(&[]), Ok(CecResult::ResourceLimit));
     }
 
     /// Golden `y = a`; revised `y = a ^ cfg` with a 2-bit cfg chain:
@@ -1928,7 +1753,7 @@ mod tests {
             pin_state: correct.clone(),
             ..MiterOptions::default()
         };
-        let mut km = KeyedMiter::build(&g, &r, &base, 1).expect("builds");
+        let mut km = Miter::build_keyed(&g, &r, &base, 1).expect("builds");
         assert_eq!(km.key_slots().len(), 2);
         assert_eq!(km.diff_points(), 1);
 
@@ -1947,14 +1772,20 @@ mod tests {
                 pin_state: key.clone(),
                 ..MiterOptions::default()
             };
-            let want = Miter::build(&g, &r, &pinned).expect("builds").prove();
+            let want = Miter::build(&g, &r, &pinned)
+                .expect("builds")
+                .prove(&[])
+                .expect("no key");
             let got = km.prove(&key).expect("known slots");
             assert_eq!(
                 got.is_equivalent(),
                 want.is_equivalent(),
                 "key ({b0},{b1}): keyed {got:?} vs pinned {want:?}"
             );
-            let want_c = Miter::build(&g, &r, &pinned).expect("builds").corruption();
+            let want_c = Miter::build(&g, &r, &pinned)
+                .expect("builds")
+                .corruption(&[])
+                .expect("no key");
             let got_c = km.corruption(&key).expect("known slots");
             assert_eq!(got_c, want_c, "corruption must be bit-identical");
         }
@@ -1972,7 +1803,7 @@ mod tests {
             pin_state: correct.clone(),
             ..MiterOptions::default()
         };
-        let mut km = KeyedMiter::build(&g, &r, &base, 1).expect("builds");
+        let mut km = Miter::build_keyed(&g, &r, &base, 1).expect("builds");
         let wrong = vec![(correct[0].0, true), (correct[1].0, false)];
         match km.prove(&wrong).expect("known slots") {
             CecResult::NotEquivalent(cex) => {
@@ -1992,7 +1823,7 @@ mod tests {
             pin_state: correct.clone(),
             ..MiterOptions::default()
         };
-        let mut km = KeyedMiter::build(&g, &r, &base, 1).expect("builds");
+        let mut km = Miter::build_keyed(&g, &r, &base, 1).expect("builds");
         // A slot left free makes the query cover every value of that
         // bit: some value corrupts y, so this cannot be Equivalent.
         let partial = vec![(correct[0].0, false)];
@@ -2017,8 +1848,8 @@ mod tests {
             pin_state: correct.clone(),
             ..MiterOptions::default()
         };
-        let mut single = KeyedMiter::build(&g, &r, &base, 1).expect("builds");
-        let mut ported = KeyedMiter::build(&g, &r, &base, 3).expect("builds");
+        let mut single = Miter::build_keyed(&g, &r, &base, 1).expect("builds");
+        let mut ported = Miter::build_keyed(&g, &r, &base, 3).expect("builds");
         assert!(single.portfolio_stats().is_none());
         for &(b0, b1) in &[(false, false), (true, true), (true, false)] {
             let key = vec![(correct[0].0, b0), (correct[1].0, b1)];

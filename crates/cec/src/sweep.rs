@@ -43,7 +43,7 @@ use crate::cache;
 use crate::encode::{model_value, Encoder};
 use alice_attacks::engine::SatEngine;
 use alice_attacks::solver::{Lit, SatResult};
-use alice_intern::{StableHasher, Symbol};
+use alice_intern::{splitmix64, StableHasher, Symbol};
 use alice_netlist::ir::{Lit as NLit, Netlist, Node};
 use alice_par::CancelToken;
 use alice_store::Store;
@@ -64,14 +64,6 @@ const MAX_ROUNDS: usize = 4;
 
 /// Counterexample patterns captured per round (one extra word).
 const CEX_PER_ROUND: usize = 64;
-
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 pub(crate) fn random_sig(rng: &mut u64) -> Sig {
     [splitmix64(rng), splitmix64(rng)]

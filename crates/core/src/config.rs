@@ -64,17 +64,6 @@ pub struct AliceConfig {
     /// byte-identical reports; racing never changes verdicts, only
     /// wall-clock.
     pub portfolio: usize,
-    /// Use the incremental keyed-miter CEC path for the verify stage's
-    /// wrong-key sweep (YAML `incremental_cec:`): encode the
-    /// golden/revised pair once per worker with key bits left free and
-    /// answer every key by `solve_with(assumptions)` on a long-lived
-    /// solver, reusing learned clauses across keys. On by default;
-    /// verdicts and corruption counts are identical either way (the
-    /// pinned-constant path remains as the A/B baseline), only
-    /// wall-clock changes. Only consulted when
-    /// [`AliceConfig::verify_wrong_keys`] > 0 — a lone correct-key
-    /// proof always uses the pinned path.
-    pub incremental_cec: bool,
     /// Use the content-addressed characterization cache (the
     /// [`DesignDb`](crate::db::DesignDb)). On by default; the `alice`
     /// CLI's `--no-cache` turns it off for A/B measurements.
@@ -119,7 +108,6 @@ impl Default for AliceConfig {
             verify_wrong_keys: 0,
             verify_conflict_budget: Some(5_000_000),
             portfolio: 1,
-            incremental_cec: true,
             cache: true,
             store: None,
             store_budget: None,
@@ -243,9 +231,6 @@ impl AliceConfig {
             }
             cfg.portfolio = n as usize;
         }
-        if let Some(v) = y.get("incremental_cec") {
-            cfg.incremental_cec = v.as_bool().ok_or_else(|| bad("incremental_cec"))?;
-        }
         if let Some(v) = y.get("verify_budget") {
             let budget = v.as_u32().ok_or_else(|| bad("verify_budget"))?;
             cfg.verify_conflict_budget = if budget == 0 {
@@ -347,14 +332,6 @@ mod tests {
         assert!(!unlimited.verify, "verify defaults to off");
         assert!(AliceConfig::from_yaml("verify: maybe").is_err());
         assert!(AliceConfig::from_yaml("wrong_keys: lots").is_err());
-    }
-
-    #[test]
-    fn incremental_cec_parses() {
-        assert!(AliceConfig::default().incremental_cec, "on by default");
-        let cfg = AliceConfig::from_yaml("incremental_cec: false").expect("parse");
-        assert!(!cfg.incremental_cec);
-        assert!(AliceConfig::from_yaml("incremental_cec: maybe").is_err());
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //! wrong-key corruptibility sweep: for each of N wrong bitstreams it
 //! computes the exact set of output/next-state bits an attacker-visible
 //! difference can reach — the security-relevant converse of the
-//! equivalence proof. By default (see [`AliceConfig::incremental_cec`])
-//! the sweep is *incremental*: unique flip sets are partitioned into
-//! contiguous slices across workers, each worker encodes the pair
-//! **once** as an assumption-parameterized [`KeyedMiter`] and answers
-//! its whole slice by `solve_with(assumptions)` on one long-lived
-//! solver — learned clauses, variable activities, and saved phases
-//! carry across keys, and the correct-key proof's already-warm engine
-//! is handed to the first worker. Verdicts and corruption counts are
-//! bit-identical to the pinned-constant baseline.
+//! equivalence proof. With the sweep on, the correct-key proof runs on a
+//! *keyed* [`Miter`] (bitstream registers as assumption slots), unique
+//! flip sets are partitioned into contiguous slices across workers, and
+//! each worker answers its whole slice by `solve_with(assumptions)` on
+//! one long-lived keyed miter — learned clauses, variable activities,
+//! and saved phases carry across keys, and the correct-key proof's
+//! already-warm engine is handed to the first worker. A lone correct-key
+//! proof uses the *folded* miter (bitstream as constants), the cheapest
+//! encoding for one key. Verdicts and corruption counts are identical
+//! either way.
 
 use crate::config::AliceConfig;
 use crate::db::DesignDb;
@@ -37,12 +38,12 @@ use crate::par::shard;
 use crate::redact::RedactedDesign;
 use alice_cec::cache::{self as cec_cache, CachedCorruption, CachedProof};
 use alice_cec::{
-    miter_fingerprint, prove_equivalent_raced, CecResult, Counterexample, EngineStats, KeyedMiter,
-    Miter, MiterOptions,
+    miter_fingerprint, prove_equivalent_raced, CecResult, Counterexample, EngineStats, Miter,
+    MiterError, MiterOptions,
 };
-use alice_intern::Symbol;
+use alice_intern::{splitmix64, Symbol};
 use alice_netlist::ir::Netlist;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -133,7 +134,7 @@ impl WrongKeyOutcome {
 
 /// Summary of the portfolio race behind the equivalence proof, present
 /// only when [`AliceConfig::portfolio`] > 1 and the proof actually ran
-/// (cache hits race nothing). On the incremental keyed-miter path the
+/// (cache hits race nothing). On the keyed-miter path the
 /// "winner" is the member that won the most assumption solves, and the
 /// clause-database counters describe the long-lived engine's retention
 /// behavior across the whole run.
@@ -226,8 +227,21 @@ static WRONG_KEY_SOLVE_US: alice_obs::Histogram = alice_obs::Histogram::new(
     "Per-miter wall-clock of wrong-key corruption analyses (µs)",
 );
 
-/// Builds the miter options shared by the proof and the sweep: state
-/// renames and cfg pins from every fabric's binding, `cfg_en` low.
+/// Every fabric's reachable truth-table bits as `(cfg register, correct
+/// value)`, concatenated: the index space of [`WrongKeyOutcome::flipped`].
+fn key_bits(redacted: &RedactedDesign) -> Vec<(Symbol, bool)> {
+    redacted
+        .efpgas
+        .iter()
+        .flat_map(|e| e.binding.key_bits.iter().map(|&i| e.binding.cfg_pins[i]))
+        .collect()
+}
+
+/// The verify stage's miter options for one bitstream: state renames and
+/// cfg pins from every fabric's binding, `cfg_en` low, and the key bits
+/// indexed by `flipped` inverted (see [`WrongKeyOutcome::flipped`]; empty
+/// for the correct bitstream). The correct-key proof and every wrong key
+/// of the sweep take their options from here.
 ///
 /// The binding's pin and state names were minted by the emitter's own
 /// naming contract ([`alice_fabric::emit::cfg_bit_name`] /
@@ -235,7 +249,11 @@ static WRONG_KEY_SOLVE_US: alice_obs::Histogram = alice_obs::Histogram::new(
 /// [`alice_fabric::emit::le_path`]), so they match the hierarchical DFF
 /// names the re-elaboration of the emitted netlist produces by
 /// construction — no string surgery happens here.
-fn base_options(redacted: &RedactedDesign, cfg: &AliceConfig) -> MiterOptions {
+pub fn miter_options(
+    redacted: &RedactedDesign,
+    cfg: &AliceConfig,
+    flipped: &[usize],
+) -> MiterOptions {
     let mut opts = MiterOptions {
         conflict_budget: cfg.verify_conflict_budget,
         ..MiterOptions::default()
@@ -246,6 +264,13 @@ fn base_options(redacted: &RedactedDesign, cfg: &AliceConfig) -> MiterOptions {
         opts.pin_state.extend(e.binding.cfg_pins.iter().copied());
         opts.state_rename
             .extend(e.binding.state_map.iter().copied());
+    }
+    if !flipped.is_empty() {
+        let key_bits = key_bits(redacted);
+        let flip: HashSet<Symbol> = flipped.iter().map(|&i| key_bits[i].0).collect();
+        for (name, v) in &mut opts.pin_state {
+            *v ^= flip.contains(name);
+        }
     }
     opts
 }
@@ -304,7 +329,8 @@ pub fn verify_redaction(
             })
         }
     };
-    let mut opts = base_options(redacted, cfg);
+    let verify_err = |e: MiterError| AliceError::Verify(e.to_string());
+    let mut opts = miter_options(redacted, cfg, &[]);
     // Hand the sweep the store's lemma segment: even when the
     // whole-miter fingerprint below misses (a novel query), per-pair
     // equalities proven by any past sweep warm-start this one.
@@ -317,15 +343,10 @@ pub fn verify_redaction(
     let store = db.store().map(Arc::as_ref);
     let fp = miter_fingerprint(&golden, &revised, &opts);
     let cached = store.and_then(|s| cec_cache::lookup_proof(s, fp));
-    // The keyed-miter engine behind an incremental correct-key proof,
-    // handed to the wrong-key sweep afterwards so its learned clauses,
+    // The keyed miter behind a correct-key proof that precedes a sweep,
+    // handed to the sweep afterwards so its learned clauses,
     // activities, and saved phases keep working across the wrong keys.
-    let mut seed: Option<KeyedMiter> = None;
-    // Incremental solving pays when its encode and search effort is
-    // amortized over many keys; a lone correct-key proof stays on the
-    // pinned-constant path, whose encode-time folding is unbeatable for
-    // a single key (and whose portfolio also diversifies the encoding).
-    let incremental = cfg.incremental_cec && cfg.verify_wrong_keys > 0;
+    let mut seed: Option<Miter> = None;
     let (outcome, diff_points, cnf_vars, cnf_clauses, portfolio) = match cached {
         Some(proof) => {
             db.count_external_disk_hit();
@@ -337,68 +358,31 @@ pub fn verify_redaction(
                 None,
             )
         }
-        None if incremental => {
-            // One assumption-parameterized miter proves the correct key
-            // and then serves the wrong-key sweep from the same engine.
-            let _span = alice_obs::span("verify.prove");
-            let mut km = KeyedMiter::build(&golden, &revised, &opts, cfg.portfolio)
-                .map_err(|e| AliceError::Verify(e.to_string()))?;
-            let result = km
-                .prove(&opts.pin_state)
-                .map_err(|e| AliceError::Verify(e.to_string()))?;
-            let diff_points = km.diff_points();
-            let (cnf_vars, cnf_clauses) = km.cnf_size();
-            let outcome = match result {
-                CecResult::Equivalent => VerifyOutcome::Equivalent,
-                CecResult::NotEquivalent(cex) => VerifyOutcome::NotEquivalent(cex),
-                CecResult::ResourceLimit => VerifyOutcome::ResourceLimit,
-            };
-            if let Some(s) = store {
-                if outcome.is_equivalent() {
-                    cec_cache::record_proof(
-                        s,
-                        fp,
-                        CachedProof {
-                            diff_points: diff_points as u64,
-                            cnf_vars: cnf_vars as u64,
-                            cnf_clauses: cnf_clauses as u64,
-                        },
-                    );
-                    db.count_external_miss();
-                }
-            }
-            let summary = (cfg.portfolio > 1).then(|| {
-                let winner = km
-                    .portfolio_stats()
-                    .map(|ps| {
-                        let (w, _) = ps
-                            .wins
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|&(_, &n)| n)
-                            .unwrap_or((0, &0));
-                        w
-                    })
-                    .unwrap_or(0);
-                PortfolioSummary::new(cfg.portfolio, winner, km.stats())
-            });
-            seed = Some(km);
-            (outcome, diff_points, cnf_vars, cnf_clauses, summary)
-        }
         None => {
-            // `portfolio == 1` takes the classic single-solver path
-            // inside `prove_equivalent_raced` (no extra threads, no
-            // behavior change); larger widths race diversified solver
-            // and encoding configurations, first definitive answer wins.
             let _span = alice_obs::span("verify.prove");
-            let ro = prove_equivalent_raced(
-                &golden,
-                &revised,
-                &opts,
-                cfg.portfolio,
-                cfg.effective_jobs(),
-            )
-            .map_err(|e| AliceError::Verify(e.to_string()))?;
+            // Keyed solving pays when its encode and search effort is
+            // amortized over many keys; a lone correct-key proof stays
+            // folded, whose encode-time folding is unbeatable for a
+            // single key. There `portfolio == 1` is the classic
+            // single-solver path, and larger widths race diversified
+            // solver and encoding configurations, first answer wins.
+            let ro = if cfg.verify_wrong_keys > 0 {
+                let mut m = Miter::build_keyed(&golden, &revised, &opts, cfg.portfolio)
+                    .map_err(verify_err)?;
+                let result = m.prove(&opts.pin_state).map_err(verify_err)?;
+                let ro = m.outcome(result);
+                seed = Some(m);
+                ro
+            } else {
+                prove_equivalent_raced(
+                    &golden,
+                    &revised,
+                    &opts,
+                    cfg.portfolio,
+                    cfg.effective_jobs(),
+                )
+                .map_err(verify_err)?
+            };
             let outcome = match ro.result {
                 CecResult::Equivalent => VerifyOutcome::Equivalent,
                 CecResult::NotEquivalent(cex) => VerifyOutcome::NotEquivalent(cex),
@@ -433,8 +417,7 @@ pub fn verify_redaction(
     // Wrong-key sweep: only meaningful once the correct key is proven.
     let wrong_keys = if cfg.verify_wrong_keys > 0 && outcome.is_equivalent() {
         let _span = alice_obs::span("verify.wrong_key_sweep");
-        wrong_key_sweep(&golden, &revised, redacted, cfg, db, seed)
-            .map_err(|e| AliceError::Verify(e.to_string()))?
+        wrong_key_sweep(&golden, &revised, redacted, cfg, db, seed).map_err(verify_err)?
     } else {
         Vec::new()
     };
@@ -449,49 +432,32 @@ pub fn verify_redaction(
     })
 }
 
-/// Deterministic splitmix64 (the workspace's stand-in for `rand`).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Runs the corruptibility sweep: N wrong bitstreams, each flipping a few
 /// meaningful truth-table bits.
 ///
 /// Identical flip sets are deduplicated up front — duplicates share one
-/// analysis — and the unique keys are partitioned into contiguous slices
-/// across [`shard`] workers. With [`AliceConfig::incremental_cec`] on,
-/// each worker owns one long-lived [`KeyedMiter`] (the first worker
-/// steals the engine `seed`ed by the correct-key proof, complete with
-/// its learned clauses and saved phases) and answers its whole slice by
-/// assumption solves; otherwise every key builds a fresh pinned
-/// [`Miter`], the classic baseline. Either way each wrong key remains
-/// its own cacheable query (its pins are part of the miter fingerprint,
-/// computed on the *pinned* options), so re-sweeping an identical
-/// redaction serves every complete analysis from the store, and caches
-/// written by one path are served verbatim by the other.
+/// analysis — and the unique keys are partitioned into contiguous,
+/// non-empty slices across [`shard`] workers. Each worker owns one
+/// long-lived keyed [`Miter`] (the first worker steals the engine
+/// `seed`ed by the correct-key proof, complete with its learned clauses
+/// and saved phases) and answers its whole slice by assumption solves.
+/// Each wrong key remains its own cacheable query (its pins are part of
+/// the miter fingerprint, computed on the key's [`miter_options`]), so
+/// re-sweeping an identical redaction serves every complete analysis
+/// from the store.
 fn wrong_key_sweep(
     golden: &Netlist,
     revised: &Netlist,
     redacted: &RedactedDesign,
     cfg: &AliceConfig,
     db: &DesignDb,
-    seed: Option<KeyedMiter>,
-) -> Result<Vec<WrongKeyOutcome>, alice_cec::MiterError> {
-    // Global key-bit table: (cfg-register name, correct value), over all
-    // fabrics, restricted to reachable truth-table bits.
-    let key_bits: Vec<(Symbol, bool)> = redacted
-        .efpgas
-        .iter()
-        .flat_map(|e| e.binding.key_bits.iter().map(|&i| e.binding.cfg_pins[i]))
-        .collect();
+    seed: Option<Miter>,
+) -> Result<Vec<WrongKeyOutcome>, MiterError> {
+    let key_bits = key_bits(redacted);
     if key_bits.is_empty() {
         return Ok(Vec::new());
     }
-    let mut base = base_options(redacted, cfg);
+    let mut base = miter_options(redacted, cfg, &[]);
     // Each wrong key is a *novel* miter (its pins differ), but the
     // key-independent cones repeat across all N of them — exactly the
     // case the persisted sweep lemmas exist for.
@@ -530,28 +496,16 @@ fn wrong_key_sweep(
     let store = db.store().map(Arc::as_ref);
     let seed = Mutex::new(seed);
     let jobs = cfg.effective_jobs();
-    let workers = jobs.min(uniq.len()).max(1);
-    let per = uniq.len().div_ceil(workers);
-    let sliced = shard(workers, jobs, |w| {
-        let lo = w * per;
-        let hi = (lo + per).min(uniq.len());
-        // The worker's engine, built on first uncached key of the slice.
-        let mut km: Option<KeyedMiter> = None;
-        let mut out: Vec<WrongKeyOutcome> = Vec::with_capacity(hi - lo);
-        for &k in &uniq[lo..hi] {
+    // Contiguous, non-empty slices of the unique keys, at most `jobs`.
+    let slices: Vec<&[usize]> = uniq.chunks(uniq.len().div_ceil(jobs).max(1)).collect();
+    let sliced = shard(slices.len(), jobs, |w| {
+        // The worker's miter, built on the first uncached key of its slice.
+        let mut miter: Option<Miter> = None;
+        let mut out: Vec<WrongKeyOutcome> = Vec::with_capacity(slices[w].len());
+        for &k in slices[w] {
             let _span = alice_obs::span_with("verify.wrong_key", || format!("key {k}"));
             let started = std::time::Instant::now();
-            let mut opts = base.clone();
-            // Flip the chosen key bits relative to the correct bitstream.
-            let flipped: HashMap<Symbol, bool> = flips[k]
-                .iter()
-                .map(|&i| (key_bits[i].0, !key_bits[i].1))
-                .collect();
-            for (name, v) in &mut opts.pin_state {
-                if let Some(&nv) = flipped.get(name) {
-                    *v = nv;
-                }
-            }
+            let opts = miter_options(redacted, cfg, &flips[k]);
             let fp = miter_fingerprint(golden, revised, &opts);
             if let Some(hit) = store.and_then(|s| cec_cache::lookup_corruption(s, fp)) {
                 db.count_external_disk_hit();
@@ -565,20 +519,23 @@ fn wrong_key_sweep(
                 });
                 continue;
             }
-            let c = if cfg.incremental_cec {
-                if km.is_none() {
-                    // First worker to get here inherits the correct-key
-                    // prover's warmed engine; the rest encode once for
-                    // their whole slice.
-                    km = seed.lock().unwrap().take();
-                }
-                if km.is_none() {
-                    km = Some(KeyedMiter::build(golden, revised, &base, 1)?);
-                }
-                km.as_mut().unwrap().corruption(&opts.pin_state)?
-            } else {
-                Miter::build(golden, revised, &opts)?.corruption()
-            };
+            if miter.is_none() {
+                // The first worker to get here inherits the correct-key
+                // prover's warmed engine; the rest encode once for their
+                // whole slice.
+                let seeded = seed
+                    .lock()
+                    .expect("no sweep worker panics holding the seed")
+                    .take();
+                miter = Some(match seeded {
+                    Some(m) => m,
+                    None => Miter::build_keyed(golden, revised, &base, 1)?,
+                });
+            }
+            let c = miter
+                .as_mut()
+                .expect("built above")
+                .corruption(&opts.pin_state)?;
             if let Some(s) = store {
                 if c.complete {
                     cec_cache::record_corruption(
@@ -669,6 +626,31 @@ endmodule
         for wk in &v.wrong_keys {
             assert!(wk.complete, "tiny design must analyse exactly");
             assert!(!wk.flipped.is_empty());
+        }
+    }
+
+    #[test]
+    fn sweep_results_do_not_depend_on_the_worker_count() {
+        // 5 and 7 unique keys over 4 and 6 workers: a ceil-sized slice
+        // per worker runs out before the last workers, which must then
+        // get no slice at all rather than an inverted one.
+        let d = Design::from_source("demo", SRC, None).expect("load");
+        for keys in [5, 7] {
+            let sweep = |jobs: usize| {
+                let cfg = AliceConfig {
+                    verify: true,
+                    verify_wrong_keys: keys,
+                    jobs,
+                    ..AliceConfig::cfg1()
+                };
+                let out = Flow::new(cfg).run(&d).expect("flow");
+                out.verify.expect("verify ran").wrong_keys
+            };
+            let serial = sweep(1);
+            assert_eq!(serial.len(), keys);
+            for jobs in [4, 6] {
+                assert_eq!(sweep(jobs), serial, "{keys} keys at jobs {jobs}");
+            }
         }
     }
 

@@ -17,8 +17,9 @@
 //!
 //! The crate also provides [`PathTree`] — a real parent-pointer tree over
 //! instance paths, replacing the string-prefix arithmetic that used to
-//! answer ancestor queries — and [`StableHasher`], the 128-bit
-//! content hasher behind the characterization cache's keys.
+//! answer ancestor queries — [`StableHasher`], the 128-bit content
+//! hasher behind the characterization cache's keys, and [`splitmix64`],
+//! the workspace's seeded PRNG.
 //!
 //! # Hierarchical paths: [`HierPath`]
 //!
@@ -519,6 +520,19 @@ impl StableHasher {
         };
         (mix(self.a), mix(self.b))
     }
+}
+
+/// splitmix64: the workspace's deterministic stand-in for `rand`.
+/// Advances `state` and returns the next well-mixed 64-bit word; the
+/// same seed always yields the same stream, which is what keeps sweep
+/// signatures, solver perturbations and wrong-key draws reproducible.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

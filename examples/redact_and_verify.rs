@@ -6,6 +6,11 @@
 //! wrong-key pass then shows the converse: corrupt bitstreams provably
 //! corrupt outputs.
 //!
+//! The same checks are then posed through the raw `alice-cec` API: a
+//! folded `Miter` with the key left free (the attacker's view), and one
+//! keyed `Miter` answering the correct and every wrong key by
+//! assumption solves on a single engine.
+//!
 //! ```text
 //! cargo run --example redact_and_verify
 //! ```
@@ -14,6 +19,7 @@ use alice_redaction::cec::{CecResult, Miter, MiterOptions};
 use alice_redaction::core::config::AliceConfig;
 use alice_redaction::core::design::Design;
 use alice_redaction::core::flow::Flow;
+use alice_redaction::core::verify::miter_options;
 use alice_redaction::netlist::elaborate;
 use alice_redaction::verilog::parse_source;
 
@@ -40,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verify_wrong_keys: 3,
         ..AliceConfig::cfg1()
     };
-    let outcome = Flow::new(cfg).run(&design)?;
+    let outcome = Flow::new(cfg.clone()).run(&design)?;
     let redacted = outcome.redacted.as_ref().expect("demo always redacts");
     println!(
         "redacted {:?} into {} eFPGA(s)",
@@ -81,7 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         opts.state_rename
             .extend(e.binding.state_map.iter().copied());
     }
-    match Miter::build(&golden, &revised, &opts)?.prove() {
+    // A folded miter (no key slots) is queried with an empty key.
+    match Miter::build(&golden, &revised, &opts)?.prove(&[])? {
         CecResult::NotEquivalent(cex) => println!(
             "free-key miter: NOT equivalent, witness corrupts {:?} (as redaction intends)",
             cex.diffs
@@ -89,5 +96,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => println!("free-key miter: unexpected verdict {other:?}"),
     }
     println!("(the correct bitstream is the only thing separating the two results)");
+
+    // A keyed miter encodes the pair once with the bitstream registers
+    // as assumption slots; every query names a key.
+    let correct = miter_options(redacted, &cfg, &[]);
+    let mut keyed = Miter::build_keyed(&golden, &revised, &correct, 1)?;
+    println!(
+        "keyed miter ({} key slots), correct key: {:?}",
+        keyed.key_slots().len(),
+        keyed.prove(&correct.pin_state)?
+    );
+    for wk in &verify.wrong_keys {
+        let wrong = miter_options(redacted, &cfg, &wk.flipped).pin_state;
+        let c = keyed.corruption(&wrong)?;
+        assert_eq!(c.corrupted.len(), wk.corrupted, "same answer as the flow");
+        println!(
+            "keyed miter, wrong key {:?}: {}/{} outputs corrupted",
+            wk.flipped,
+            c.corrupted.len(),
+            c.total
+        );
+    }
+    println!(
+        "({} assumption solves on one engine)",
+        keyed.stats().assumption_solves
+    );
     Ok(())
 }
