@@ -37,14 +37,8 @@ fn phase_benches(c: &mut Criterion) {
             &clusters,
             |b, cl| {
                 b.iter(|| {
-                    select_efpgas(
-                        &design,
-                        &r,
-                        cl,
-                        &cfg,
-                        &alice_core::db::DesignDb::new_disabled(),
-                    )
-                    .expect("select")
+                    select_efpgas(&design, &r, cl, &cfg, &alice_core::db::DesignDb::new())
+                        .expect("select")
                 })
             },
         );

@@ -26,10 +26,11 @@
 //! absolutely: a drop of more than `threshold` (as a fraction) fails.
 //!
 //! The same gate understands every bench file the suite writes
-//! (`BENCH_pipeline.json`, `BENCH_cec.json`): both are the JSON subset
-//! parsed here, and the rules are keyed on leaf-name conventions, not
-//! schemas.
+//! (`BENCH_pipeline.json`, `BENCH_cec.json`): both parse with
+//! [`alice_obs::Json`], and the rules are keyed on leaf-name
+//! conventions, not schemas.
 
+use alice_obs::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -46,105 +47,39 @@ const NOISE_FLOOR_MS: f64 = 2.0;
 /// evidence of a code regression.
 const RELIABLE_MS: f64 = 50.0;
 
-/// Extracts every numeric leaf of a JSON-subset document (objects,
-/// numbers, strings; exactly what `pipeline_bench` writes) as a dotted
-/// path → value map. Not a general JSON parser — unknown constructs are
-/// an error so a malformed file cannot silently pass the gate.
+/// Extracts every numeric leaf of a bench file as a dotted path → value
+/// map. The root must be an object and strings (schema and matrix
+/// labels) are skipped; any array, boolean or null is an error so a
+/// malformed file cannot silently pass the gate.
 fn numeric_leaves(src: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut out = BTreeMap::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut pos = 0usize;
-    parse_object(&bytes, &mut pos, "", &mut out)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at offset {pos}"));
-    }
-    Ok(out)
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{c}` at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[char], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, '"')?;
-    let mut s = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(s),
-            '\\' => return Err("escapes are not used in bench files".to_string()),
-            _ => s.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_object(
-    b: &[char],
-    pos: &mut usize,
-    prefix: &str,
-    out: &mut BTreeMap<String, f64>,
-) -> Result<(), String> {
-    expect(b, pos, '{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        let key = parse_string(b, pos)?;
-        let path = if prefix.is_empty() {
-            key
-        } else {
-            format!("{prefix}.{key}")
-        };
-        expect(b, pos, ':')?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some('{') => parse_object(b, pos, &path, out)?,
-            Some('"') => {
-                parse_string(b, pos)?; // schema/matrix labels: ignored
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let start = *pos;
-                while b
-                    .get(*pos)
-                    .is_some_and(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-                {
-                    *pos += 1;
+    fn walk(
+        fields: &[(String, Json)],
+        prefix: &str,
+        out: &mut BTreeMap<String, f64>,
+    ) -> Result<(), String> {
+        for (key, value) in fields {
+            let path = if prefix.is_empty() {
+                key.clone()
+            } else {
+                format!("{prefix}.{key}")
+            };
+            match value {
+                Json::Obj(inner) => walk(inner, &path, out)?,
+                Json::Num(v) => {
+                    out.insert(path, *v);
                 }
-                let text: String = b[start..*pos].iter().collect();
-                let v: f64 = text.parse().map_err(|_| format!("bad number `{text}`"))?;
-                out.insert(path, v);
+                Json::Str(_) => {}
+                other => return Err(format!("`{path}`: unexpected value {other}")),
             }
-            other => return Err(format!("unexpected value start {other:?}")),
         }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(',') => {
-                *pos += 1;
-                skip_ws(b, pos);
-            }
-            Some('}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-        }
+        Ok(())
     }
+    let Json::Obj(fields) = Json::parse(src)? else {
+        return Err("the root is not an object".to_string());
+    };
+    let mut out = BTreeMap::new();
+    walk(&fields, "", &mut out)?;
+    Ok(out)
 }
 
 fn load(path: &str) -> Result<BTreeMap<String, f64>, String> {

@@ -110,7 +110,7 @@ pub fn run_suite_verified(jobs: usize, wrong_keys: usize, verify: bool) -> Vec<S
 /// Like [`run_suite_verified`], against a caller-supplied [`DesignDb`]
 /// shared by every flow in the matrix — a module characterized for one
 /// benchmark × config cell is never LUT-mapped or sized again in any
-/// other cell. Pass [`DesignDb::new_disabled`] for a no-cache baseline.
+/// other cell. Pass a fresh [`DesignDb::new`] for a cold baseline.
 pub fn run_suite_with_db(
     jobs: usize,
     wrong_keys: usize,

@@ -64,14 +64,9 @@ pub struct AliceConfig {
     /// byte-identical reports; racing never changes verdicts, only
     /// wall-clock.
     pub portfolio: usize,
-    /// Use the content-addressed characterization cache (the
-    /// [`DesignDb`](crate::db::DesignDb)). On by default; the `alice`
-    /// CLI's `--no-cache` turns it off for A/B measurements.
-    pub cache: bool,
     /// Directory of the persistent artifact store backing the
     /// [`DesignDb`](crate::db::DesignDb) (the `alice` CLI's `--store`,
-    /// YAML `store:`). `None` keeps caching in-memory only; ignored when
-    /// [`AliceConfig::cache`] is off.
+    /// YAML `store:`). `None` keeps caching in-memory only.
     pub store: Option<std::path::PathBuf>,
     /// Opportunistic-compaction byte budget for the persistent store
     /// (the `alice` CLI's `--store-budget`, YAML `store_budget:`): a
@@ -108,7 +103,6 @@ impl Default for AliceConfig {
             verify_wrong_keys: 0,
             verify_conflict_budget: Some(5_000_000),
             portfolio: 1,
-            cache: true,
             store: None,
             store_budget: None,
             trace: None,
@@ -189,9 +183,6 @@ impl AliceConfig {
         }
         if let Some(v) = y.get("verify") {
             cfg.verify = v.as_bool().ok_or_else(|| bad("verify"))?;
-        }
-        if let Some(v) = y.get("cache") {
-            cfg.cache = v.as_bool().ok_or_else(|| bad("cache"))?;
         }
         if let Some(v) = y.get("store") {
             let dir = v.as_str().ok_or_else(|| bad("store"))?;
@@ -375,6 +366,13 @@ mod tests {
         assert_eq!(AliceConfig::default().metrics, None);
         assert!(AliceConfig::from_yaml("trace:").is_err(), "empty path");
         assert!(AliceConfig::from_yaml("metrics:").is_err(), "empty path");
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored() {
+        // Configs that still set a retired key, like `cache:`, must load.
+        let cfg = AliceConfig::from_yaml("cache: false\nmax_efpgas: 1\n").expect("parse");
+        assert_eq!(cfg.max_efpgas, 1);
     }
 
     #[test]

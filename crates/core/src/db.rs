@@ -24,7 +24,8 @@
 //! `{sbox2, sbox5}` in DES3 — share one characterization even though
 //! their prefixed port names differ. All caches are thread-safe; the
 //! select stage's sharded workers and concurrent suite flows hit them
-//! freely.
+//! freely. The cache is always on: every flow runs its oracles through
+//! one shared lookup path, and failures are memoized like successes.
 //!
 //! # Persistence
 //!
@@ -39,6 +40,8 @@
 //! shard's memory mapping (decoders borrow the mapped bytes — no heap
 //! copy on a warm disk hit), so anything corrupt, truncated, or written
 //! by a different format version silently degrades to a recompute.
+//! All three oracles share one record format: a result tag, then either
+//! the artifact payload ([`alice_store::artifact`]) or the error text.
 //! Writes land in per-key shards with per-shard locks, so concurrent
 //! dbs over one directory flush without contending on a whole-kind
 //! segment. Beyond the three oracles above, the store
@@ -51,9 +54,10 @@ use alice_fabric::{create_efpga, EfpgaImpl, FabricArch};
 use alice_intern::StableHasher;
 use alice_netlist::ir::Netlist;
 use alice_netlist::lutmap::{map_luts, MappedNetlist};
-use alice_store::{artifact, Kind, Reader, Store, Writer};
+use alice_store::{artifact, CodecError, Kind, Reader, Store, Writer};
 use alice_verilog::ast::SourceFile;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,11 +70,38 @@ type Key = (u64, u64);
 /// during computation, while [`OnceLock::get_or_init`] guarantees a
 /// missed key is computed exactly once — concurrent workers that race on
 /// the same key block on the first computation instead of redoing it.
-type Cell<V> = Arc<OnceLock<V>>;
+type Cell<T> = Arc<OnceLock<Result<Arc<T>, String>>>;
 
-/// A keyed once-cache: map lock only guards slot lookup, the slot itself
-/// serializes computation.
-type CacheMap<K, V> = Mutex<HashMap<K, Cell<V>>>;
+/// A keyed once-cache of one oracle's outcomes, failures included: the
+/// map lock only guards slot lookup, the slot itself serializes
+/// computation.
+type Memo<K, T> = Mutex<HashMap<K, Cell<T>>>;
+
+/// An oracle's store lane: its record kind and the artifact codec pair
+/// of its success payload.
+struct Lane<T> {
+    kind: Kind,
+    read: fn(&mut Reader<'_>) -> Result<T, CodecError>,
+    write: fn(&mut Writer, &T),
+}
+
+const NETLISTS: Lane<Netlist> = Lane {
+    kind: Kind::Netlist,
+    read: artifact::read_netlist,
+    write: artifact::write_netlist,
+};
+
+const LUTMAPS: Lane<MappedNetlist> = Lane {
+    kind: Kind::LutMap,
+    read: artifact::read_mapped,
+    write: artifact::write_mapped,
+};
+
+const FABRICS: Lane<EfpgaImpl> = Lane {
+    kind: Kind::Fabric,
+    read: artifact::read_efpga,
+    write: artifact::write_efpga,
+};
 
 /// Cumulative hit/miss counters of one [`DesignDb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,11 +185,10 @@ impl Stats {
 /// [`Flow::with_db`]: crate::flow::Flow::with_db
 #[derive(Debug, Default)]
 pub struct DesignDb {
-    disabled: bool,
     store: Option<Arc<Store>>,
-    netlists: CacheMap<Key, Result<Arc<Netlist>, AliceError>>,
-    lutmaps: CacheMap<(Key, u32), Result<Arc<MappedNetlist>, AliceError>>,
-    fabrics: CacheMap<(Key, Key), Result<Arc<EfpgaImpl>, String>>,
+    netlists: Memo<Key, Netlist>,
+    lutmaps: Memo<(Key, u32), MappedNetlist>,
+    fabrics: Memo<(Key, Key), EfpgaImpl>,
     stats: Stats,
 }
 
@@ -168,47 +198,6 @@ enum Served {
     Memory,
     Disk,
     Computed,
-}
-
-/// Looks `key` up in `map`, with a three-level resolution: the in-memory
-/// once-cache (a hit), then `load` — the on-disk store's decode path (a
-/// disk hit), then `compute` + `persist` (a miss). Each level runs
-/// exactly once per key even under contention; workers that block on
-/// another worker's in-flight resolution count as memory hits — they
-/// were served without computing.
-fn cached<K: std::hash::Hash + Eq, V: Clone>(
-    map: &CacheMap<K, V>,
-    stats: &Stats,
-    key: K,
-    load: impl FnOnce() -> Option<V>,
-    persist: impl FnOnce(&V),
-    compute: impl FnOnce() -> V,
-) -> V {
-    let cell = map
-        .lock()
-        .expect("cache map")
-        .entry(key)
-        .or_insert_with(|| Arc::new(OnceLock::new()))
-        .clone();
-    let mut served = Served::Memory;
-    let value = cell.get_or_init(|| match load() {
-        Some(v) => {
-            served = Served::Disk;
-            v
-        }
-        None => {
-            served = Served::Computed;
-            let v = compute();
-            persist(&v);
-            v
-        }
-    });
-    match served {
-        Served::Memory => stats.hit(),
-        Served::Disk => stats.disk_hit(),
-        Served::Computed => stats.miss(),
-    }
-    value.clone()
 }
 
 /// Folds a composite in-memory cache key into the store's flat 128-bit
@@ -264,18 +253,9 @@ pub fn module_fingerprint(file: &SourceFile, module: &str) -> Key {
 }
 
 impl DesignDb {
-    /// A fresh, empty, enabled database.
+    /// A fresh, empty, in-memory database.
     pub fn new() -> DesignDb {
         DesignDb::default()
-    }
-
-    /// A database that never stores or returns anything (the `--no-cache`
-    /// A/B baseline); its counters stay zero.
-    pub fn new_disabled() -> DesignDb {
-        DesignDb {
-            disabled: true,
-            ..DesignDb::default()
-        }
     }
 
     /// A database backed by the persistent [`Store`] at `dir`: misses are
@@ -320,11 +300,6 @@ impl DesignDb {
         }
     }
 
-    /// Whether lookups are live (false only for [`DesignDb::new_disabled`]).
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled
-    }
-
     /// Snapshot of the cumulative hit/miss counters.
     pub fn counts(&self) -> CacheCounts {
         CacheCounts {
@@ -346,6 +321,71 @@ impl DesignDb {
         self.stats.miss();
     }
 
+    /// Resolves one oracle query through `memo`: the in-memory
+    /// once-cache (a hit), then the store record of `lane` under the key
+    /// `parts` (a disk hit), then `compute` with write-through (a miss).
+    /// Each level runs exactly once per key even under contention;
+    /// workers that block on another worker's in-flight resolution count
+    /// as memory hits — they were served without computing.
+    ///
+    /// This is the one place the store record format lives: a result
+    /// tag, then either the lane's artifact payload or the error text.
+    /// Failures are cached and persisted like successes — every oracle is
+    /// deterministic, so the same input always yields the same message.
+    fn lookup<K: Hash + Eq, T>(
+        &self,
+        memo: &Memo<K, T>,
+        key: K,
+        lane: &Lane<T>,
+        parts: &[u64],
+        compute: impl FnOnce() -> Result<T, String>,
+    ) -> Result<Arc<T>, String> {
+        let cell = memo
+            .lock()
+            .expect("cache map")
+            .entry(key)
+            .or_default()
+            .clone();
+        let mut served = Served::Memory;
+        let value = cell.get_or_init(|| {
+            let skey = store_key(lane.kind, parts);
+            let decode = |bytes: &[u8]| {
+                let mut r = Reader::new(bytes);
+                Some(if artifact::read_result_tag(&mut r).ok()? {
+                    Ok(Arc::new((lane.read)(&mut r).ok()?))
+                } else {
+                    Err(r.get_str().ok()?.to_string())
+                })
+            };
+            let stored = self
+                .store
+                .as_ref()
+                .and_then(|s| decode(&s.get(lane.kind, skey)?));
+            if let Some(v) = stored {
+                served = Served::Disk;
+                return v;
+            }
+            served = Served::Computed;
+            let v = compute().map(Arc::new);
+            if let Some(store) = &self.store {
+                let mut w = Writer::new();
+                artifact::write_result_tag(&mut w, v.is_ok());
+                match &v {
+                    Ok(t) => (lane.write)(&mut w, t),
+                    Err(msg) => w.put_str(msg),
+                }
+                store.put(lane.kind, skey, w.into_bytes());
+            }
+            v
+        });
+        match served {
+            Served::Memory => self.stats.hit(),
+            Served::Disk => self.stats.disk_hit(),
+            Served::Computed => self.stats.miss(),
+        }
+        value.clone()
+    }
+
     /// Elaborates `module` (memoized by source-closure fingerprint;
     /// failures are cached too — elaboration is deterministic, so the
     /// same source always produces the same error).
@@ -354,48 +394,12 @@ impl DesignDb {
     ///
     /// Returns [`AliceError::Elaborate`] when elaboration fails.
     pub fn elaborate(&self, file: &SourceFile, module: &str) -> Result<Arc<Netlist>, AliceError> {
-        let run = || {
-            let _span = alice_obs::span_with("db.elaborate", || module.to_string());
-            alice_netlist::elaborate::elaborate(file, module)
-                .map(Arc::new)
-                .map_err(|e| AliceError::Elaborate(format!("{module}: {e}")))
-        };
-        if self.disabled {
-            return run();
-        }
         let key = module_fingerprint(file, module);
-        let skey = store_key(Kind::Netlist, &[key.0, key.1]);
-        cached(
-            &self.netlists,
-            &self.stats,
-            key,
-            || {
-                let bytes = self.store.as_ref()?.get(Kind::Netlist, skey)?;
-                let mut r = Reader::new(&bytes);
-                if artifact::read_result_tag(&mut r).ok()? {
-                    Some(Ok(Arc::new(artifact::read_netlist(&mut r).ok()?)))
-                } else {
-                    Some(Err(AliceError::Elaborate(r.get_str().ok()?.to_string())))
-                }
-            },
-            |v| {
-                let Some(store) = &self.store else { return };
-                let mut w = Writer::new();
-                match v {
-                    Ok(n) => {
-                        artifact::write_result_tag(&mut w, true);
-                        artifact::write_netlist(&mut w, n);
-                    }
-                    Err(AliceError::Elaborate(msg)) => {
-                        artifact::write_result_tag(&mut w, false);
-                        w.put_str(msg);
-                    }
-                    Err(_) => return, // only the elaborate variant occurs here
-                }
-                store.put(Kind::Netlist, skey, w.into_bytes());
-            },
-            run,
-        )
+        self.lookup(&self.netlists, key, &NETLISTS, &[key.0, key.1], || {
+            let _span = alice_obs::span_with("db.elaborate", || module.to_string());
+            alice_netlist::elaborate::elaborate(file, module).map_err(|e| format!("{module}: {e}"))
+        })
+        .map_err(AliceError::Elaborate)
     }
 
     /// Elaborates and LUT-maps `module` (both steps memoized).
@@ -411,49 +415,13 @@ impl DesignDb {
         k: u32,
     ) -> Result<Arc<MappedNetlist>, AliceError> {
         let netlist = self.elaborate(file, module)?;
-        let run = || {
-            let _span = alice_obs::span_with("db.lutmap", || module.to_string());
-            map_luts(&netlist, k)
-                .map(Arc::new)
-                .map_err(|e| AliceError::Elaborate(format!("{module}: {e}")))
-        };
-        if self.disabled {
-            return run();
-        }
         let nh = netlist.structural_hash();
-        let key = (nh, k);
-        let skey = store_key(Kind::LutMap, &[nh.0, nh.1, u64::from(k)]);
-        cached(
-            &self.lutmaps,
-            &self.stats,
-            key,
-            || {
-                let bytes = self.store.as_ref()?.get(Kind::LutMap, skey)?;
-                let mut r = Reader::new(&bytes);
-                if artifact::read_result_tag(&mut r).ok()? {
-                    Some(Ok(Arc::new(artifact::read_mapped(&mut r).ok()?)))
-                } else {
-                    Some(Err(AliceError::Elaborate(r.get_str().ok()?.to_string())))
-                }
-            },
-            |v| {
-                let Some(store) = &self.store else { return };
-                let mut w = Writer::new();
-                match v {
-                    Ok(m) => {
-                        artifact::write_result_tag(&mut w, true);
-                        artifact::write_mapped(&mut w, m);
-                    }
-                    Err(AliceError::Elaborate(msg)) => {
-                        artifact::write_result_tag(&mut w, false);
-                        w.put_str(msg);
-                    }
-                    Err(_) => return,
-                }
-                store.put(Kind::LutMap, skey, w.into_bytes());
-            },
-            run,
-        )
+        let parts = [nh.0, nh.1, u64::from(k)];
+        self.lookup(&self.lutmaps, (nh, k), &LUTMAPS, &parts, || {
+            let _span = alice_obs::span_with("db.lutmap", || module.to_string());
+            map_luts(&netlist, k).map_err(|e| format!("{module}: {e}"))
+        })
+        .map_err(AliceError::Elaborate)
     }
 
     /// Runs the fabric oracle on a merged cluster network (memoized by
@@ -470,49 +438,13 @@ impl DesignDb {
         network: &MappedNetlist,
         arch: &FabricArch,
     ) -> Result<Arc<EfpgaImpl>, String> {
-        let run = || {
-            let _span = alice_obs::span("db.characterize");
-            create_efpga(network, arch)
-                .map(Arc::new)
-                .map_err(|e| e.to_string())
-        };
-        if self.disabled {
-            return run();
-        }
         let nh = network.structural_hash();
         let ah = arch_key(arch);
-        let key = (nh, ah);
-        let skey = store_key(Kind::Fabric, &[nh.0, nh.1, ah.0, ah.1]);
-        cached(
-            &self.fabrics,
-            &self.stats,
-            key,
-            || {
-                let bytes = self.store.as_ref()?.get(Kind::Fabric, skey)?;
-                let mut r = Reader::new(&bytes);
-                if artifact::read_result_tag(&mut r).ok()? {
-                    Some(Ok(Arc::new(artifact::read_efpga(&mut r).ok()?)))
-                } else {
-                    Some(Err(r.get_str().ok()?.to_string()))
-                }
-            },
-            |v| {
-                let Some(store) = &self.store else { return };
-                let mut w = Writer::new();
-                match v {
-                    Ok(e) => {
-                        artifact::write_result_tag(&mut w, true);
-                        artifact::write_efpga(&mut w, e);
-                    }
-                    Err(msg) => {
-                        artifact::write_result_tag(&mut w, false);
-                        w.put_str(msg);
-                    }
-                }
-                store.put(Kind::Fabric, skey, w.into_bytes());
-            },
-            run,
-        )
+        let parts = [nh.0, nh.1, ah.0, ah.1];
+        self.lookup(&self.fabrics, (nh, ah), &FABRICS, &parts, || {
+            let _span = alice_obs::span("db.characterize");
+            create_efpga(network, arch).map_err(|e| e.to_string())
+        })
     }
 }
 
@@ -581,16 +513,6 @@ endmodule
     }
 
     #[test]
-    fn disabled_db_computes_but_never_counts() {
-        let f = parse_source(SRC).expect("parse");
-        let db = DesignDb::new_disabled();
-        assert!(!db.is_enabled());
-        db.map_module(&f, "add8", 4).expect("map");
-        db.map_module(&f, "add8", 4).expect("map");
-        assert_eq!(db.counts(), CacheCounts::default());
-    }
-
-    #[test]
     fn counts_since_subtracts() {
         let a = CacheCounts {
             hits: 5,
@@ -655,26 +577,51 @@ endmodule
     fn infeasible_characterizations_persist_too() {
         let dir = store_dir("infeasible");
         let f = parse_source(SRC).expect("parse");
+        let bad = parse_source(
+            "module broken(input wire a, output wire y);\n  ghost u0(.a(a), .y(y));\nendmodule",
+        )
+        .expect("parse");
         // An architecture too small for anything: max_dim 0 fits nothing.
         let arch = FabricArch {
             max_dim: 0,
             ..FabricArch::default()
         };
-        let msg = {
-            let db = DesignDb::with_store(&dir).expect("open");
-            let m = db.map_module(&f, "add8", 4).expect("map");
-            let msg = db.characterize(&m, &arch).expect_err("infeasible");
-            db.flush_store().expect("flush");
-            msg
+        // One failing lookup per oracle: an undefined submodule, an
+        // unsupported LUT size (k = 9 is outside 2..=6), and an
+        // infeasible characterization.
+        let fail = |db: &DesignDb, oracle: usize| -> String {
+            match oracle {
+                0 => db
+                    .elaborate(&bad, "broken")
+                    .expect_err("undefined")
+                    .to_string(),
+                1 => db.map_module(&f, "add8", 9).expect_err("bad k").to_string(),
+                _ => {
+                    let m = db.map_module(&f, "add8", 4).expect("map");
+                    db.characterize(&m, &arch).expect_err("infeasible")
+                }
+            }
         };
+        let msgs: Vec<String> = {
+            let db = DesignDb::with_store(&dir).expect("open");
+            let msgs = (0..3).map(|o| fail(&db, o)).collect();
+            db.flush_store().expect("flush");
+            msgs
+        };
+        assert!(msgs[0].contains("broken"), "{}", msgs[0]);
+        assert!(msgs[1].contains("k=9"), "{}", msgs[1]);
         let db = DesignDb::with_store(&dir).expect("reopen");
-        let m = db.map_module(&f, "add8", 4).expect("map");
-        let before = db.counts();
-        let again = db.characterize(&m, &arch).expect_err("still infeasible");
-        let after = db.counts();
-        assert_eq!(again, msg, "identical cached message");
-        assert_eq!(after.misses, before.misses, "no recompute");
-        assert_eq!(after.disk_hits, before.disk_hits + 1);
+        // Warm the successful add8 steps so each failure is one lookup.
+        db.map_module(&f, "add8", 4).expect("map");
+        for (oracle, msg) in msgs.iter().enumerate() {
+            let before = db.counts();
+            let again = fail(&db, oracle);
+            let after = db.counts();
+            assert_eq!(&again, msg, "identical cached message");
+            assert_eq!(after.misses, before.misses, "no recompute");
+            assert_eq!(after.disk_hits, before.disk_hits + 1, "a disk hit");
+        }
+        assert_eq!(db.counts().misses, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

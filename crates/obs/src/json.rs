@@ -1,10 +1,10 @@
 //! Minimal JSON parser for trace validation.
 //!
 //! The offline crate set has no serde, so — like the YAML subset in
-//! `alice-core` and the numeric-leaf walker in `bench_diff` — this is
-//! a small hand-rolled recursive-descent parser. It accepts the full
-//! JSON grammar (objects, arrays, strings with escapes incl. surrogate
-//! pairs, numbers, booleans, null) and rejects trailing garbage.
+//! `alice-core` — this is a small hand-rolled recursive-descent parser
+//! (also behind the `bench_diff` gate). It accepts the full JSON
+//! grammar (objects, arrays, strings with escapes incl. surrogate pairs,
+//! numbers, booleans, null) and rejects trailing garbage.
 
 use std::fmt;
 

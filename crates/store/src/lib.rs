@@ -500,7 +500,6 @@ impl Default for StoreOptions {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    use_mmap: bool,
     /// `[kind][shard]` → that shard's state behind its own lock. The
     /// only multi-shard lock order in the crate is kind-major,
     /// shard-minor (compacting flushes, stats, the access-index
@@ -603,7 +602,6 @@ impl Store {
         });
         Ok(Store {
             dir,
-            use_mmap: options.mmap,
             shards,
             dirty: std::array::from_fn(|_| std::array::from_fn(|_| AtomicBool::new(false))),
             clock: AtomicU64::new(max_stamp + 1),
@@ -619,12 +617,6 @@ impl Store {
     /// The store's directory.
     pub fn path(&self) -> &Path {
         &self.dir
-    }
-
-    /// Whether this handle serves mapped (zero-copy) reads
-    /// ([`StoreOptions::mmap`]).
-    pub fn mmap_enabled(&self) -> bool {
-        self.use_mmap
     }
 
     fn shard(&self, kind: Kind, shard: usize) -> MutexGuard<'_, ShardState> {

@@ -5,13 +5,17 @@
 //! ```text
 //! alice <design.v> [--config flow.yaml] [--top NAME] [--out DIR]
 //!       [--cfg1 | --cfg2] [--jobs N] [--report]
-//!       [--verify] [--wrong-keys N] [--portfolio N] [--no-cache]
+//!       [--verify] [--wrong-keys N] [--portfolio N]
 //!       [--store DIR] [--store-budget BYTES]
 //!       [--trace FILE] [--metrics FILE]
 //! alice store stats <DIR>
 //! alice store gc <DIR> [--budget BYTES]
 //! alice store clear <DIR>
 //! ```
+//!
+//! Elaborations, LUT mappings and fabric sizings are always memoized in
+//! a content-addressed characterization cache; `--store DIR` persists it,
+//! so a later run over the same directory starts warm.
 //!
 //! `--trace FILE` records hierarchical spans across the whole run and
 //! writes a Chrome trace-event JSON file (load it in Perfetto or
@@ -28,7 +32,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: alice <design.v> [--config flow.yaml] [--top NAME] \
                      [--out DIR] [--cfg1 | --cfg2] [--jobs N] [--report] \
-                     [--verify] [--wrong-keys N] [--portfolio N] [--no-cache] \
+                     [--verify] [--wrong-keys N] [--portfolio N] \
                      [--store DIR] [--store-budget BYTES] \
                      [--trace FILE] [--metrics FILE]\n\
                      \x20      alice store <stats|gc|clear> <DIR> [--budget BYTES]";
@@ -48,7 +52,6 @@ struct Args {
     verify: bool,
     wrong_keys: Option<usize>,
     portfolio: Option<usize>,
-    no_cache: bool,
     store: Option<PathBuf>,
     store_budget: Option<u64>,
     trace: Option<PathBuf>,
@@ -145,7 +148,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
         verify: false,
         wrong_keys: None,
         portfolio: None,
-        no_cache: false,
         store: None,
         store_budget: None,
         trace: None,
@@ -198,7 +200,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Option<Command>, Str
                 args.portfolio = Some(parse_count("--portfolio", &v, 1)?);
             }
             "--verify" => args.verify = true,
-            "--no-cache" => args.no_cache = true,
             "--cfg1" => args.preset = Some("cfg1"),
             "--cfg2" => args.preset = Some("cfg2"),
             "--report" => args.report_only = true,
@@ -334,10 +335,6 @@ fn run_flow(
     }
     if let Some(n) = args.portfolio {
         cfg.portfolio = n;
-    }
-    if args.no_cache {
-        // A/B baseline: run every characterization from scratch.
-        cfg.cache = false;
     }
     if let Some(dir) = &args.store {
         // The command line wins over the config file for the store too.
@@ -537,14 +534,6 @@ mod tests {
     fn valid_jobs_still_parse() {
         let a = parse(&["d.v", "--jobs", "3"]).expect("ok").expect("args");
         assert_eq!(a.jobs, Some(3));
-    }
-
-    #[test]
-    fn no_cache_parses() {
-        let a = parse(&["d.v", "--no-cache"]).expect("ok").expect("args");
-        assert!(a.no_cache);
-        let a = parse(&["d.v"]).expect("ok").expect("args");
-        assert!(!a.no_cache, "cache is on by default");
     }
 
     #[test]
