@@ -68,11 +68,16 @@ pub struct EngineStats {
 ///   sequence of related queries (the same miter under N different key
 ///   assumptions) amortizes search effort instead of restarting cold.
 /// * **Models are transient.** A model stays readable until the next
-///   mutation or solve; [`SatEngine::reset_to_root`] explicitly unwinds
-///   the search to decision level 0 once the caller is done reading.
-///   For multi-member engines the reset is *coherent*: every member
-///   returns to level 0, so the next assumption solve starts every
-///   racer from an equivalent root state.
+///   mutation or solve; after `Unsat` or `Unknown` the values
+///   [`SatEngine::value`] reports are unspecified. A call may leave its
+///   assumption prefix on the trail, and the next call keeps the
+///   longest prefix it shares with the previous assumptions instead of
+///   propagating it again — so `key ++ [point_i]` sequences pay for
+///   `key` once. [`SatEngine::reset_to_root`] explicitly unwinds the
+///   search to decision level 0 once the caller is done with such a
+///   run. For multi-member engines the reset is *coherent*: every
+///   member returns to level 0, so the next assumption solve starts
+///   every racer from an equivalent root state.
 pub trait SatEngine {
     /// Allocates a fresh variable.
     fn new_var(&mut self) -> Var;

@@ -219,7 +219,9 @@ impl SatEngine for PortfolioEngine {
         // unwinds to decision level 0 (not just the last winner), so
         // the next race starts all racers from an equivalent root state
         // — a loser cancelled mid-search already unwound itself, and
-        // this makes that guarantee unconditional.
+        // this makes that guarantee unconditional. Between resets each
+        // member keeps its own assumption prefix on its trail and
+        // reuses the part the next race's assumptions share with it.
         for m in &mut self.members {
             m.get_mut().expect("member poisoned").reset_to_root();
         }

@@ -1,9 +1,20 @@
 //! A CDCL SAT solver built from scratch for the attack harness.
 //!
-//! Implements the standard architecture: two-watched-literal propagation,
-//! first-UIP conflict analysis with clause learning, VSIDS variable
-//! activities on an indexed order heap, phase saving, Luby restarts, and
-//! incremental solving under assumptions ([`Solver::solve_with`]).
+//! Implements the standard architecture: two-watched-literal propagation
+//! with blocker literals (each watch entry carries one literal of its
+//! clause; a true blocker proves the clause satisfied without touching
+//! clause memory) over a flat clause arena, first-UIP conflict analysis
+//! with clause learning, VSIDS variable activities on an indexed order
+//! heap, phase saving, Luby restarts, and incremental solving under
+//! assumptions ([`Solver::solve_with`]).
+//!
+//! Incremental calls reuse the assignment trail: a call may return with
+//! its assumption prefix still assigned (one decision level per
+//! assumption), and the next call keeps the longest prefix it shares
+//! with the previous assumptions instead of unwinding to the root and
+//! re-propagating it. A CEC miter queried under one bitstream key plus
+//! one difference point at a time thus propagates the key once, not
+//! once per point.
 //!
 //! The learned-clause database is actively managed for long-lived
 //! incremental use (hundreds of assumption solves against one formula,
@@ -14,8 +25,8 @@
 //! a reduction pass at a restart point drops the coldest half of the
 //! *deletable* clauses — originals, glue ≤ 2 clauses, and clauses
 //! locked as the reason of a current implication are never dropped —
-//! and compacts the database (watches and reason pointers are remapped
-//! in place). Saved phases, variable activities, and the surviving
+//! and compacts the arena (watches and reason references are rebuilt
+//! against the new offsets). Saved phases, variable activities, and the surviving
 //! learned clauses all persist across [`Solver::solve_with`] calls, so
 //! later queries on the same formula start warm.
 
@@ -252,10 +263,12 @@ impl OrderHeap {
     }
 }
 
-/// Per-clause bookkeeping for database reduction, parallel to
-/// `Solver::clauses`.
+/// Per-clause bookkeeping for database reduction, indexed by clause id
+/// (the clause's ordinal in the database).
 #[derive(Debug, Clone, Copy)]
 struct ClauseInfo {
+    /// Where the clause lives in `Solver::arena`.
+    cref: CRef,
     /// Learned (deletable) vs original (permanent).
     learned: bool,
     /// Literal-block distance at learn time: the number of distinct
@@ -267,6 +280,27 @@ struct ClauseInfo {
     /// clause, decayed once per conflict. Reduction drops the coldest
     /// deletable half.
     act: f64,
+}
+
+/// A clause reference: the offset of the clause's header in
+/// `Solver::arena`. Every clause is stored there as two header words —
+/// its literal count, then its clause id — followed by its literals
+/// (header words reuse the `Lit` representation), so a watch or reason
+/// reaches the literals with one memory access and no per-clause
+/// allocation.
+type CRef = u32;
+
+/// Header words in front of each clause's literals in the arena.
+const HEADER: usize = 2;
+
+/// A watch-list entry: the watching clause plus a *blocker* literal
+/// from it (MiniSat 2.2 style). A true blocker means the clause is
+/// satisfied, so propagation skips it without reading the clause. Eight
+/// bytes, like a bare clause index.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    cref: CRef,
+    blocker: Lit,
 }
 
 /// Reductions start once this many learned clauses are live (the limit
@@ -293,8 +327,9 @@ const CLAUSE_DECAY: f64 = 0.999;
 /// ```
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Vec<Lit>>,
-    /// Reduction metadata, index-parallel to `clauses`.
+    /// Every clause of length >= 2, back to back (see [`CRef`]).
+    arena: Vec<Lit>,
+    /// Reduction metadata, indexed by clause id.
     clause_info: Vec<ClauseInfo>,
     /// Clause-activity bump amount (grows as `cla_inc / CLAUSE_DECAY`
     /// per conflict, rescaled with the activities on overflow).
@@ -306,17 +341,25 @@ pub struct Solver {
     /// Live learned count that triggers the next reduction; `0` = not
     /// yet derived from the instance size.
     reduce_limit: u64,
-    watches: Vec<Vec<usize>>, // per literal: clause indices
-    assigns: Vec<Assign>,
+    /// Per literal: the clauses watching it.
+    watches: Vec<Vec<Watch>>,
+    /// Per literal (indexed by `Lit::index`): its current value, so
+    /// reading a literal is one load with no sign arithmetic.
+    vals: Vec<Assign>,
     phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    reason: Vec<Option<CRef>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
     act_inc: f64,
     order: OrderHeap,
+    /// Conflict-analysis marks, all `false` between calls.
+    seen: Vec<bool>,
+    /// Assumptions of the previous solve: decision levels
+    /// `1..=trail_lim.len()` still hold a prefix of them.
+    prev_assumptions: Vec<Lit>,
     unsat: bool,
     /// Conflict budget for [`Solver::solve`]; `None` = unlimited.
     pub conflict_budget: Option<u64>,
@@ -381,11 +424,13 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(Assign::Unassigned);
+        let v = Var(self.phase.len() as u32);
+        self.vals.push(Assign::Unassigned);
+        self.vals.push(Assign::Unassigned);
         self.phase.push(self.config.invert_phase);
         self.level.push(0);
         self.reason.push(None);
+        self.seen.push(false);
         // A seeded config perturbs initial activities by strictly less
         // than one bump, so it only permutes otherwise-tied decisions.
         self.activity.push(if self.config.seed == 0 {
@@ -436,12 +481,12 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.phase.len()
     }
 
     /// Number of clauses (original + learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.clause_info.len()
     }
 
     /// Adds a clause. An empty clause makes the instance trivially UNSAT.
@@ -479,15 +524,7 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[c[0].index()].push(idx);
-                self.watches[c[1].index()].push(idx);
-                self.clauses.push(c);
-                self.clause_info.push(ClauseInfo {
-                    learned: false,
-                    lbd: 0,
-                    act: 0.0,
-                });
+                self.push_clause(&c, false, 0, 0.0);
                 self.originals += 1;
             }
         }
@@ -496,100 +533,124 @@ impl Solver {
     /// Unwinds the search to decision level 0, keeping every assignment
     /// implied by the formula itself. Models from a previous `Sat`
     /// answer become unreadable; learned clauses, saved phases, and
-    /// variable activities survive. Incremental drivers call this
-    /// between assumption solves once they are done reading the model.
+    /// variable activities survive. Incremental drivers call this once
+    /// they are done with a run of queries sharing an assumption prefix
+    /// (the next [`Solver::solve_with`] then starts from the root).
     pub fn reset_to_root(&mut self) {
         self.cancel_until(0);
     }
 
     fn lit_value(&self, l: Lit) -> Assign {
-        match self.assigns[l.var().0 as usize] {
-            Assign::Unassigned => Assign::Unassigned,
-            Assign::True => {
-                if l.is_neg() {
-                    Assign::False
-                } else {
-                    Assign::True
-                }
-            }
-            Assign::False => {
-                if l.is_neg() {
-                    Assign::True
-                } else {
-                    Assign::False
-                }
-            }
-        }
+        self.vals[l.index()]
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<usize>) {
+    /// The literals of clause `cr`.
+    fn lits(&self, cr: CRef) -> &[Lit] {
+        let start = cr as usize + HEADER;
+        &self.arena[start..start + self.arena[cr as usize].0 as usize]
+    }
+
+    /// The clause id of `cr` (its index into `clause_info`).
+    fn clause_id(&self, cr: CRef) -> usize {
+        self.arena[cr as usize + 1].0 as usize
+    }
+
+    /// Appends a clause of length >= 2 to the arena and watches it.
+    fn push_clause(&mut self, lits: &[Lit], learned: bool, lbd: u32, act: f64) -> CRef {
+        let cref = CRef::try_from(self.arena.len()).expect("clause arena within u32 offsets");
+        self.arena.push(Lit(lits.len() as u32));
+        self.arena.push(Lit(self.clause_info.len() as u32));
+        self.arena.extend_from_slice(lits);
+        self.clause_info.push(ClauseInfo {
+            cref,
+            learned,
+            lbd,
+            act,
+        });
+        self.watch(cref);
+        cref
+    }
+
+    /// Watches the first two literals of clause `cref`; each watch
+    /// blocks on the other watched literal.
+    fn watch(&mut self, cref: CRef) {
+        let (c0, c1) = (self.lits(cref)[0], self.lits(cref)[1]);
+        self.watches[c0.index()].push(Watch { cref, blocker: c1 });
+        self.watches[c1.index()].push(Watch { cref, blocker: c0 });
+    }
+
+    fn enqueue(&mut self, l: Lit, reason: Option<CRef>) {
         let v = l.var().0 as usize;
-        self.assigns[v] = if l.is_neg() {
-            Assign::False
-        } else {
-            Assign::True
-        };
+        self.vals[l.index()] = Assign::True;
+        self.vals[l.negate().index()] = Assign::False;
         self.phase[v] = !l.is_neg();
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    /// Unit propagation; returns a conflicting clause index if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation; returns the conflicting clause, if any.
+    fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let l = self.trail[self.qhead];
             self.qhead += 1;
             self.total_propagations += 1;
             let falsified = l.negate();
-            let mut i = 0;
-            // Take the watch list to sidestep aliasing; rebuilt as we scan.
-            let mut watch_list = std::mem::take(&mut self.watches[falsified.index()]);
-            while i < watch_list.len() {
-                let ci = watch_list[i];
-                // Ensure watched literal is at position 1.
-                let pos = self.clauses[ci]
-                    .iter()
-                    .position(|&x| x == falsified)
-                    .expect("watched literal in clause");
-                self.clauses[ci].swap(pos, 1);
-                if self.lit_value(self.clauses[ci][0]) == Assign::True {
-                    i += 1;
+            // Take the watch list to sidestep aliasing; kept entries are
+            // compacted to the front (`j`) as we scan (`i`).
+            let mut ws = std::mem::take(&mut self.watches[falsified.index()]);
+            let (mut i, mut j) = (0, 0);
+            let mut confl = None;
+            while i < ws.len() {
+                let w = ws[i];
+                i += 1;
+                if self.vals[w.blocker.index()] == Assign::True {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
+                }
+                let start = w.cref as usize + HEADER;
+                let len = self.arena[w.cref as usize].0 as usize;
+                let clause = &mut self.arena[start..start + len];
+                // Keep the falsified watch at position 1.
+                if clause[0] == falsified {
+                    clause.swap(0, 1);
+                }
+                let first = clause[0];
+                let kept = Watch {
+                    cref: w.cref,
+                    blocker: first,
+                };
+                if first != w.blocker && self.vals[first.index()] == Assign::True {
+                    ws[j] = kept;
+                    j += 1;
                     continue; // clause satisfied
                 }
                 // Find a new watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].len() {
-                    if self.lit_value(self.clauses[ci][k]) != Assign::False {
-                        self.clauses[ci].swap(1, k);
-                        let new_watch = self.clauses[ci][1];
-                        self.watches[new_watch.index()].push(ci);
-                        watch_list.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) =
+                    (2..clause.len()).find(|&k| self.vals[clause[k].index()] != Assign::False)
+                {
+                    clause.swap(1, k);
+                    self.watches[clause[1].index()].push(kept);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                let first = self.clauses[ci][0];
-                match self.lit_value(first) {
-                    Assign::False => {
-                        // Conflict: restore remaining watches.
-                        self.watches[falsified.index()] = watch_list;
-                        return Some(ci);
-                    }
-                    Assign::Unassigned => {
-                        self.enqueue(first, Some(ci));
-                        i += 1;
-                    }
-                    Assign::True => {
-                        i += 1;
-                    }
+                ws[j] = kept;
+                j += 1;
+                if self.vals[first.index()] == Assign::False {
+                    // Conflict: keep the unscanned watches.
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
+                    confl = Some(w.cref);
+                    break;
                 }
+                self.enqueue(first, Some(w.cref));
             }
-            self.watches[falsified.index()] = watch_list;
+            ws.truncate(j);
+            self.watches[falsified.index()] = ws;
+            if confl.is_some() {
+                return confl;
+            }
         }
         None
     }
@@ -609,7 +670,8 @@ impl Solver {
     /// Bumps a learned clause's activity (originals are permanent and
     /// carry none). Mirrors variable bumping, with the same uniform
     /// overflow rescale.
-    fn bump_clause(&mut self, ci: usize) {
+    fn bump_clause(&mut self, cr: CRef) {
+        let ci = self.clause_id(cr);
         if !self.clause_info[ci].learned {
             return;
         }
@@ -623,10 +685,9 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis; returns (learned clause, backjump level).
-    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32) {
+    fn analyze(&mut self, mut confl: CRef) -> (Vec<Lit>, u32) {
         let cur_level = self.trail_lim.len() as u32;
         let mut learned: Vec<Lit> = vec![Lit(0)]; // slot 0 for the UIP
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0u32;
         let mut trail_idx = self.trail.len();
         let mut p: Option<Lit> = None;
@@ -636,13 +697,13 @@ impl Solver {
             self.bump_clause(confl);
             // Skip clause[0] of reason clauses: it is the implied literal p.
             let start = if p.is_none() { 0 } else { 1 };
-            let lits: Vec<Lit> = self.clauses[confl][start..].to_vec();
-            for q in lits {
+            for k in start..self.lits(confl).len() {
+                let q = self.lits(confl)[k];
                 let v = q.var().0 as usize;
-                if seen[v] || self.level[v] == 0 {
+                if self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
-                seen[v] = true;
+                self.seen[v] = true;
                 self.bump(q.var());
                 if self.level[v] >= cur_level {
                     counter += 1;
@@ -653,12 +714,12 @@ impl Solver {
             // Find the next seen literal on the trail.
             loop {
                 trail_idx -= 1;
-                if seen[self.trail[trail_idx].var().0 as usize] {
+                if self.seen[self.trail[trail_idx].var().0 as usize] {
                     break;
                 }
             }
             let pl = self.trail[trail_idx];
-            seen[pl.var().0 as usize] = false;
+            self.seen[pl.var().0 as usize] = false;
             counter -= 1;
             if counter == 0 {
                 p = Some(pl);
@@ -668,6 +729,11 @@ impl Solver {
             p = Some(pl);
         }
         learned[0] = p.expect("found UIP").negate();
+        // Every current-level mark was cleared as the trail walk consumed
+        // it; the marks left are exactly the lower-level literals.
+        for l in &learned[1..] {
+            self.seen[l.var().0 as usize] = false;
+        }
         // Backjump level = max level among the other literals; keep one
         // literal of that level at slot 1 so the watch pair stays valid
         // after the backjump.
@@ -692,7 +758,8 @@ impl Solver {
             while self.trail.len() > lim {
                 let l = self.trail.pop().expect("non-empty");
                 let v = l.var().0 as usize;
-                self.assigns[v] = Assign::Unassigned;
+                self.vals[l.index()] = Assign::Unassigned;
+                self.vals[l.negate().index()] = Assign::Unassigned;
                 self.reason[v] = None;
                 self.order.insert(&self.activity, v as u32);
             }
@@ -722,19 +789,20 @@ impl Solver {
     /// Drops the coldest half of the deletable learned clauses and
     /// compacts the database. Deletable = learned, glue (LBD) > 2, and
     /// not locked as the reason of a current implication; originals are
-    /// permanent. Watch lists and reason pointers are rebuilt against
-    /// the compacted indices — positions 0/1 of every clause are its
-    /// watched literals by invariant, so re-pushing them reproduces a
-    /// valid watch state.
+    /// permanent. Survivors are copied into a fresh arena in id order;
+    /// watch lists and reason references are rebuilt against the new
+    /// offsets — positions 0/1 of every clause are its watched literals
+    /// by invariant, so re-watching them reproduces a valid watch state.
     fn reduce_db(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "reduce only at level 0");
-        let mut locked = vec![false; self.clauses.len()];
+        let n = self.clause_info.len();
+        let mut locked = vec![false; n];
         for l in &self.trail {
-            if let Some(ci) = self.reason[l.var().0 as usize] {
-                locked[ci] = true;
+            if let Some(cr) = self.reason[l.var().0 as usize] {
+                locked[self.clause_id(cr)] = true;
             }
         }
-        let mut cand: Vec<usize> = (0..self.clauses.len())
+        let mut cand: Vec<usize> = (0..n)
             .filter(|&ci| {
                 let info = self.clause_info[ci];
                 info.learned && info.lbd > 2 && !locked[ci]
@@ -755,37 +823,34 @@ impl Solver {
         if ndrop == 0 {
             return;
         }
-        let mut drop_mask = vec![false; self.clauses.len()];
+        let mut drop_mask = vec![false; n];
         for &ci in &cand[..ndrop] {
             drop_mask[ci] = true;
         }
-        // Compact in place, recording the old -> new index map.
-        let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
-        let mut w = 0usize;
-        for r in 0..self.clauses.len() {
-            if drop_mask[r] {
-                continue;
-            }
-            if w != r {
-                self.clauses.swap(w, r);
-                self.clause_info.swap(w, r);
-            }
-            remap[r] = w;
-            w += 1;
-        }
-        self.clauses.truncate(w);
-        self.clause_info.truncate(w);
+        // Copy the survivors into a fresh arena in id order, recording
+        // each old clause id's new reference.
+        let old_arena = std::mem::take(&mut self.arena);
+        let old_info = std::mem::take(&mut self.clause_info);
+        let mut moved: Vec<CRef> = vec![CRef::MAX; n];
         for wl in &mut self.watches {
             wl.clear();
         }
-        for ci in 0..self.clauses.len() {
-            let (l0, l1) = (self.clauses[ci][0], self.clauses[ci][1]);
-            self.watches[l0.index()].push(ci);
-            self.watches[l1.index()].push(ci);
+        for (ci, info) in old_info.into_iter().enumerate() {
+            if drop_mask[ci] {
+                continue;
+            }
+            let start = info.cref as usize + HEADER;
+            let len = old_arena[info.cref as usize].0 as usize;
+            moved[ci] = self.push_clause(
+                &old_arena[start..start + len],
+                info.learned,
+                info.lbd,
+                info.act,
+            );
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = remap[*r];
-            debug_assert_ne!(*r, usize::MAX, "locked clauses are kept");
+            *r = moved[old_arena[*r as usize + 1].0 as usize];
+            debug_assert_ne!(*r, CRef::MAX, "locked clauses are kept");
         }
         self.learned_live -= ndrop as u64;
         self.total_learned_dropped += ndrop as u64;
@@ -795,7 +860,7 @@ impl Solver {
     fn decide(&mut self) -> Option<Lit> {
         // Lazy deletion: assigned variables are dropped as they surface.
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v as usize] == Assign::Unassigned {
+            if self.vals[Lit::pos(Var(v)).index()] == Assign::Unassigned {
                 return Some(Lit::new(Var(v), !self.phase[v as usize]));
             }
         }
@@ -821,6 +886,16 @@ impl Solver {
     /// lets equivalence checking discharge thousands of per-output and
     /// per-candidate-pair queries against one shared clause database,
     /// reusing everything learned between queries.
+    ///
+    /// The call may return with its assumption prefix still on the
+    /// trail, and the next call keeps the longest prefix it shares with
+    /// these assumptions rather than unwinding to level 0 and
+    /// propagating it again — a sequence like `key ++ [point_i]`
+    /// propagates `key` once. After `Sat` the model stays readable
+    /// until the next mutation or solve; after `Unsat` (or `Unknown`)
+    /// the values [`Solver::value`] reports are unspecified.
+    /// [`Solver::add_clause`], [`Solver::reset_to_root`], budget
+    /// exhaustion, and cancellation unwind to level 0.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
         if !assumptions.is_empty() {
             self.total_assumption_solves += 1;
@@ -851,15 +926,30 @@ impl Solver {
         if self.unsat {
             return SatResult::Unsat;
         }
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.unsat = true;
-            return SatResult::Unsat;
+        // Trail reuse: decision level `i` holds the previous call's
+        // assumption `i - 1`, so the levels of the longest common prefix
+        // are still exactly what this call would rebuild.
+        let keep = self
+            .prev_assumptions
+            .iter()
+            .zip(assumptions)
+            .take_while(|(a, b)| a == b)
+            .count()
+            .min(self.trail_lim.len());
+        self.cancel_until(keep as u32);
+        self.prev_assumptions.clear();
+        self.prev_assumptions.extend_from_slice(assumptions);
+        if keep == 0 {
+            if self.propagate().is_some() {
+                self.unsat = true;
+                return SatResult::Unsat;
+            }
+            // Incremental entry point: a burst of cheap assumption
+            // solves can accumulate clauses without ever restarting, so
+            // the database check runs here too, not only at restart
+            // points (and, like there, only at level 0).
+            self.maybe_reduce();
         }
-        // Incremental entry point: a burst of cheap assumption solves
-        // can accumulate clauses without ever restarting, so the
-        // database check runs here too, not only at restart points.
-        self.maybe_reduce();
         self.conflicts = 0;
         let mut restart_idx = 0u64;
         let mut restart_limit = self.config.restart_base * luby(restart_idx);
@@ -904,18 +994,9 @@ impl Solver {
                     if learned.len() == 1 {
                         self.enqueue(learned[0], None);
                     } else {
-                        let idx = self.clauses.len();
-                        self.watches[learned[0].index()].push(idx);
-                        self.watches[learned[1].index()].push(idx);
-                        let unit = learned[0];
-                        self.clauses.push(learned);
-                        self.clause_info.push(ClauseInfo {
-                            learned: true,
-                            lbd,
-                            act: self.cla_inc,
-                        });
+                        let cref = self.push_clause(&learned, true, lbd, self.cla_inc);
                         self.learned_live += 1;
-                        self.enqueue(unit, Some(idx));
+                        self.enqueue(learned[0], Some(cref));
                     }
                     self.act_inc /= self.config.var_decay;
                     self.cla_inc /= CLAUSE_DECAY;
@@ -933,16 +1014,15 @@ impl Solver {
                     // literal (restarts and backjumps may have popped
                     // them). An already-false assumption is a conflict
                     // with what has been learned: UNSAT under
-                    // assumptions, but not globally.
+                    // assumptions, but not globally. The assumption
+                    // levels below it stay on the trail for the next
+                    // call to reuse.
                     let mut enqueued = false;
                     while self.trail_lim.len() < assumptions.len() {
                         let p = assumptions[self.trail_lim.len()];
                         match self.lit_value(p) {
                             Assign::True => self.trail_lim.push(self.trail.len()),
-                            Assign::False => {
-                                self.cancel_until(0);
-                                return SatResult::Unsat;
-                            }
+                            Assign::False => return SatResult::Unsat,
                             Assign::Unassigned => {
                                 self.trail_lim.push(self.trail.len());
                                 self.enqueue(p, None);
@@ -968,7 +1048,7 @@ impl Solver {
 
     /// Model value of `v` after a SAT answer (`None` if unassigned).
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assigns[v.0 as usize] {
+        match self.vals[Lit::pos(v).index()] {
             Assign::Unassigned => None,
             Assign::True => Some(true),
             Assign::False => Some(false),
@@ -1264,6 +1344,95 @@ mod tests {
             assert_eq!(s.value(sel), Some(false));
         }
         assert_eq!(s.total_assumption_solves, 8);
+
+        // Prefix-sharing solves straddling reductions: a `Sat` answer
+        // leaves the shared prefix `[x, y]` on the trail, the next
+        // query keeps it, and only that query's restarts (which unwind
+        // to level 0) may reduce — the level-0 `debug_assert` in
+        // `reduce_db` would fire if a kept prefix ever met a reduction.
+        // Short restarts make every heavy query reach a restart point.
+        let mut s = Solver::with_config(SolverConfig {
+            restart_base: 4,
+            ..SolverConfig::default()
+        });
+        let (x, y) = (s.new_var(), s.new_var());
+        let sels: Vec<Var> = (0..3).map(|_| s.new_var()).collect();
+        for &sel in &sels {
+            // A pigeonhole core enabled by its selector.
+            let rows: Vec<Vec<Var>> = (0..5)
+                .map(|_| (0..4).map(|_| s.new_var()).collect())
+                .collect();
+            for row in &rows {
+                let mut c: Vec<Lit> = row.iter().map(|&v| Lit::pos(v)).collect();
+                c.push(Lit::neg(sel));
+                s.add_clause(&c);
+            }
+            for i1 in 0..5 {
+                for i2 in (i1 + 1)..5 {
+                    for (&p, &q) in rows[i1].iter().zip(&rows[i2]) {
+                        s.add_clause(&[Lit::neg(p), Lit::neg(q)]);
+                    }
+                }
+            }
+        }
+        s.reduce_limit = 1;
+        let prefix = [Lit::pos(x), Lit::neg(y)];
+        let with = |l: Lit| [prefix[0], prefix[1], l];
+        for &sel in &sels {
+            assert_eq!(s.solve_with(&with(Lit::neg(sel))), SatResult::Sat);
+            assert!(
+                s.trail_lim.len() >= prefix.len(),
+                "prefix left on the trail"
+            );
+            assert_eq!((s.value(x), s.value(y)), (Some(true), Some(false)));
+            let dropped = s.total_learned_dropped;
+            assert_eq!(s.solve_with(&with(Lit::pos(sel))), SatResult::Unsat);
+            assert!(s.total_learned_dropped > dropped, "reduced mid-sequence");
+        }
+        for &sel in &sels {
+            assert_eq!(s.solve_with(&with(Lit::pos(sel))), SatResult::Unsat);
+            assert_eq!(s.solve_with(&with(Lit::neg(sel))), SatResult::Sat);
+        }
+    }
+
+    #[test]
+    fn shared_assumption_prefix_is_propagated_once() {
+        // Each of K prefix literals implies a link of one long chain;
+        // `a | b` leaves one free choice after the prefix.
+        const K: usize = 64;
+        let mut s = Solver::new();
+        let xs: Vec<Var> = (0..K).map(|_| s.new_var()).collect();
+        let ys: Vec<Var> = (0..K).map(|_| s.new_var()).collect();
+        for (&x, &y) in xs.iter().zip(&ys) {
+            s.add_clause(&[Lit::neg(x), Lit::pos(y)]);
+        }
+        for w in ys.windows(2) {
+            s.add_clause(&[Lit::neg(w[0]), Lit::pos(w[1])]);
+        }
+        let (a, b) = (s.new_var(), s.new_var());
+        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
+        let prefix: Vec<Lit> = xs.iter().map(|&x| Lit::pos(x)).collect();
+        let with = |l: Lit| -> Vec<Lit> { prefix.iter().copied().chain([l]).collect() };
+        let spent = |s: &mut Solver, assumptions: &[Lit], expect: SatResult| {
+            let before = s.total_propagations;
+            assert_eq!(s.solve_with(assumptions), expect);
+            s.total_propagations - before
+        };
+
+        assert!(spent(&mut s, &with(Lit::neg(a)), SatResult::Sat) >= 2 * K as u64);
+        assert_eq!(s.value(b), Some(true));
+        // Same prefix, different last literal: the prefix is kept.
+        let reused = spent(&mut s, &with(Lit::neg(b)), SatResult::Sat);
+        assert!(reused < K as u64, "re-propagated the prefix: {reused}");
+        assert_eq!(s.value(a), Some(true));
+        // An already-false assumption answers Unsat without unwinding,
+        // so the following query still reuses the prefix.
+        let last_y = Lit::neg(ys[K - 1]);
+        assert_eq!(spent(&mut s, &with(last_y), SatResult::Unsat), 0);
+        assert!(spent(&mut s, &with(Lit::neg(a)), SatResult::Sat) < K as u64);
+        // After a reset the prefix is propagated from the root again.
+        s.reset_to_root();
+        assert!(spent(&mut s, &with(Lit::neg(b)), SatResult::Sat) >= 2 * K as u64);
     }
 
     #[test]

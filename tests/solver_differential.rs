@@ -18,11 +18,16 @@ struct Cnf {
 }
 
 /// Deterministic random CNF: `vars` ≤ 14 so brute force stays cheap.
+/// Density sweeps 2..6 clauses/var across seeds: SAT-ish to UNSAT-ish.
 fn random_cnf(seed: u64) -> Cnf {
+    cnf_with_density(seed, 2 + (seed % 5) as usize)
+}
+
+/// Deterministic random CNF with `per_var` clauses per variable.
+fn cnf_with_density(seed: u64, per_var: usize) -> Cnf {
     let mut rng = proptest::TestRng::deterministic(&format!("cnf-{seed}"));
     let vars = 3 + (rng.next_u64() % 12) as usize; // 3..=14
-                                                   // Density sweeps 2..6 clauses/var across seeds: SAT-ish to UNSAT-ish.
-    let clauses_n = vars * (2 + (seed % 5) as usize);
+    let clauses_n = vars * per_var;
     let clauses = (0..clauses_n)
         .map(|_| {
             let width = 1 + (rng.next_u64() % 3) as usize; // 1..=3 literals
@@ -75,6 +80,125 @@ fn load_into(cnf: &Cnf, s: &mut dyn SatEngine) -> Vec<Var> {
         s.add_clause(&lits);
     }
     vars
+}
+
+/// The verdict a fresh solver reaches with `pinned` added as unit
+/// clauses — the reference every incremental answer must equal.
+fn pinned_verdict(cnf: &Cnf, pinned: &[(usize, bool)]) -> SatResult {
+    let (mut fresh, fvars) = load(cnf);
+    for &(v, val) in pinned {
+        fresh.add_clause(&[Lit::new(fvars[v], !val)]);
+    }
+    fresh.solve()
+}
+
+/// One incremental query under `pinned`: the verdict must equal
+/// [`pinned_verdict`] (a budgeted engine may also answer `Unknown`), and
+/// a `Sat` model must satisfy the formula and every pin.
+fn checked_query(
+    e: &mut dyn SatEngine,
+    cnf: &Cnf,
+    vars: &[Var],
+    pinned: &[(usize, bool)],
+) -> SatResult {
+    let assumptions: Vec<Lit> = pinned
+        .iter()
+        .map(|&(v, val)| Lit::new(vars[v], !val))
+        .collect();
+    let got = e.solve_with(&assumptions);
+    if got == SatResult::Unknown && e.budget().is_some() {
+        return got;
+    }
+    assert_eq!(got, pinned_verdict(cnf, pinned), "pins {pinned:?}");
+    if got == SatResult::Sat {
+        let mut assignment = 0u64;
+        for (i, &v) in vars.iter().enumerate() {
+            if e.value(v) == Some(true) {
+                assignment |= 1 << i;
+            }
+        }
+        for c in &cnf.clauses {
+            assert!(clause_satisfied(c, assignment), "model violates a clause");
+        }
+        for &(v, val) in pinned {
+            assert_eq!((assignment >> v) & 1 == 1, val, "model violates pin {v}");
+        }
+    }
+    got
+}
+
+/// Drives `e` through assumption sequences shaped like the real
+/// consumers — `base ++ [x_i]` (the keyed miter's prove and corruption
+/// loops) and a growing prefix whose last literal flips on `Unsat`
+/// (lex-min key extraction) — so consecutive calls share prefixes of
+/// every length. Between queries, clause additions, root resets, and
+/// budget-limited calls under the current prefix are interleaved.
+fn prefix_sharing_sequences(e: &mut dyn SatEngine, seed: u64) {
+    // 1..3 clauses/var: mostly satisfiable, so assumption prefixes are
+    // usually consistent and stay on the trail between calls.
+    let mut cnf = cnf_with_density(seed, 1 + (seed % 3) as usize);
+    let vars = load_into(&cnf, e);
+    let mut rng = proptest::TestRng::deterministic(&format!("prefix-{seed}"));
+    let n = cnf.vars as u64;
+    let pin =
+        |rng: &mut proptest::TestRng| ((rng.next_u64() % n) as usize, rng.next_u64() & 1 == 1);
+    let interleave = |e: &mut dyn SatEngine,
+                      cnf: &mut Cnf,
+                      prefix: &[(usize, bool)],
+                      rng: &mut proptest::TestRng| {
+        match rng.next_u64() % 10 {
+            0 => {
+                let width = 1 + (rng.next_u64() % 3) as usize;
+                let clause: Vec<(usize, bool)> = (0..width).map(|_| pin(rng)).collect();
+                let lits: Vec<Lit> = clause
+                    .iter()
+                    .map(|&(v, neg)| Lit::new(vars[v], neg))
+                    .collect();
+                e.add_clause(&lits);
+                cnf.clauses.push(clause);
+            }
+            1 => e.reset_to_root(),
+            2 => {
+                e.set_budget(Some(rng.next_u64() % 3));
+                let mut q = prefix.to_vec();
+                q.push(pin(rng));
+                checked_query(e, cnf, &vars, &q);
+                e.set_budget(None);
+            }
+            _ => {}
+        }
+    };
+    for _ in 0..2 {
+        // Points come from a small pool, so a point recurs after others
+        // (as when `prove` and `corruption` walk the same key's points).
+        let base: Vec<(usize, bool)> = (0..rng.next_u64() % 5).map(|_| pin(&mut rng)).collect();
+        let points: Vec<(usize, bool)> = (0..3).map(|_| pin(&mut rng)).collect();
+        for _ in 0..6 {
+            interleave(e, &mut cnf, &base, &mut rng);
+            let mut q = base.clone();
+            q.push(points[(rng.next_u64() % 3) as usize]);
+            checked_query(e, &cnf, &vars, &q);
+        }
+        // A walk that backs up to a random prefix of the previous query
+        // and extends it, so kept prefixes of every length occur.
+        let mut walk: Vec<(usize, bool)> = Vec::new();
+        for _ in 0..8 {
+            interleave(e, &mut cnf, &walk, &mut rng);
+            walk.truncate((rng.next_u64() % (walk.len() as u64 + 1)) as usize);
+            for _ in 0..1 + rng.next_u64() % 2 {
+                walk.push(pin(&mut rng));
+            }
+            checked_query(e, &cnf, &vars, &walk);
+        }
+        let mut fixed: Vec<(usize, bool)> = Vec::new();
+        for v in 0..cnf.vars {
+            interleave(e, &mut cnf, &fixed, &mut rng);
+            fixed.push((v, false));
+            if checked_query(e, &cnf, &vars, &fixed) != SatResult::Sat {
+                fixed.last_mut().expect("just pushed").1 = true;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -158,6 +282,16 @@ proptest! {
         }
     }
 
+    /// Prefix-sharing assumption sequences — the shape trail reuse
+    /// serves — answer exactly like a fresh solver pinned by unit
+    /// clauses, with sound models, across clause additions, resets,
+    /// and budget-exhausted calls.
+    #[test]
+    fn prefix_sharing_sequences_equal_unit_clause_pinning(seed in 0u64..100_000) {
+        let mut s = Solver::new();
+        prefix_sharing_sequences(&mut s, seed);
+    }
+
     /// A conflict budget may only turn an answer into Unknown, never
     /// flip it; restarts under tiny budgets stay sound.
     #[test]
@@ -223,6 +357,17 @@ proptest! {
         // Lifting the budget restores the definitive verdict.
         e.set_budget(None);
         prop_assert_eq!(e.solve() == SatResult::Sat, expect_sat);
+    }
+}
+
+/// The portfolio passes the prefix-sharing sequences too: every member
+/// keeps its own trail, and whichever wins must answer like a fresh
+/// pinned solver.
+#[test]
+fn portfolio_prefix_sharing_sequences_equal_unit_clause_pinning() {
+    for seed in 0..40 {
+        let mut e = PortfolioEngine::new(3);
+        prefix_sharing_sequences(&mut e, seed);
     }
 }
 
