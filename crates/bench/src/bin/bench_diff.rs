@@ -20,9 +20,8 @@
 //! so phases whose baseline is under `RELIABLE_MS` are reported but
 //! never gate — only phases long enough to average over scheduler noise
 //! can fail the build. Effectiveness fractions — any `*_improvement`
-//! leaf, like the
-//! cache's `warm_vs_cold_improvement` or the CEC bench's
-//! `portfolio_improvement` — are machine-independent and compared
+//! leaf, like the cache's `warm_vs_cold_improvement` or the CEC bench's
+//! `incremental_improvement` — are machine-independent and compared
 //! absolutely: a drop of more than `threshold` (as a fraction) fails.
 //!
 //! The same gate understands every bench file the suite writes

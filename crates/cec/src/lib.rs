@@ -20,11 +20,13 @@
 //!   [`CecResult`] verdicts with [`Counterexample`] witnesses, the
 //!   exact per-output [`Corruption`] analysis behind the wrong-key
 //!   corruptibility sweep, and [`prove_equivalent_raced`] — a portfolio
-//!   race of diversified solver/encoding configurations with cooperative
+//!   race of diversified solver configurations with cooperative
 //!   cancellation, first definitive verdict wins,
 //! * [`sweep`] — ABC-style SAT sweeping (signature classes from 128-bit
 //!   word simulation, per-pair assumption proofs, equality lemmas) that
-//!   makes redacted-arithmetic miters tractable; proven lemmas are keyed
+//!   makes redacted-arithmetic miters tractable. A miter runs it on
+//!   demand, once, when a difference point first exhausts a fixed
+//!   conflict probe; most redaction miters never need it. Proven lemmas are keyed
 //!   by boundary-labelled cone hashes and persisted, so familiar
 //!   sub-structures start warm in later processes,
 //! * [`cache`] — the persistent proof cache over `alice-store`: whole

@@ -15,6 +15,17 @@
 //! counterexample). Pinned registers are either folded to constants at
 //! encode time ([`Miter::build`]) or kept as assumption slots
 //! ([`Miter::build_keyed`]) so one encoding answers many keys.
+//!
+//! **Sweep on demand.** A miter is built unswept. Each difference point
+//! is first asked under a small conflict probe (`PROBE_CONFLICTS`); most
+//! redaction miters close every point inside it, because the shared
+//! structural hash already collapses the untouched logic. The first
+//! point that exhausts the probe triggers the counterexample-guided SAT
+//! sweep ([`crate::sweep`]) into the same engine, once, and is re-asked
+//! under the caller's budget; every later point and key runs on the
+//! swept engine. The sweep only adds implied equalities, so verdicts and
+//! corruption sets are those of an eagerly swept miter; only wall-clock
+//! differs.
 
 use crate::encode::{model_value, Encoder};
 use crate::sweep::{const_sig, random_sig, sweep, ConeHash, Sig, SweepSide, SweepStats};
@@ -148,19 +159,20 @@ pub struct MiterOptions {
     pub check_next_state: bool,
     /// Solver conflict budget; `None` = unlimited.
     pub conflict_budget: Option<u64>,
-    /// Run the SAT-sweeping preprocessing pass (prove matching internal
-    /// nodes equal bottom-up before attempting the outputs). Nearly
-    /// always a large win; disable only to measure its effect.
-    pub sweep: bool,
-    /// Per-candidate-pair conflict budget during sweeping. Pairs the
-    /// budget gives up on are simply left unmerged.
+    /// Per-candidate-pair conflict budget of the SAT sweep a miter runs
+    /// when a difference point exhausts its probe (see [`Miter`]). Pairs the
+    /// budget gives up on are left unmerged and retried in the next
+    /// refinement round, once the pairs below them have merged, which
+    /// is when most of them become easy. A small budget is therefore
+    /// cheap: on IIR's redacted multiplier, 250 instead of 2,000 cut the
+    /// sweep from ~27 s to ~9 s with the same merges.
     pub sweep_conflict_budget: Option<u64>,
     /// Heuristic configuration of the underlying CDCL solver. Steers
     /// wall-clock only, never verdicts, so it is excluded from
     /// [`miter_fingerprint`] just like the budgets.
     pub solver_config: SolverConfig,
-    /// Cooperative cancellation token, observed both while sweeping at
-    /// build time and inside every solve call. A cancelled miter reports
+    /// Cooperative cancellation token, observed both while sweeping and
+    /// inside every solve call. A cancelled miter reports
     /// [`CecResult::ResourceLimit`]; portfolio racing uses this to stop
     /// losing configurations. Excluded from [`miter_fingerprint`].
     pub cancel: Option<CancelToken>,
@@ -183,8 +195,7 @@ impl Default for MiterOptions {
             pin_state: Vec::new(),
             check_next_state: true,
             conflict_budget: None,
-            sweep: true,
-            sweep_conflict_budget: Some(2_000),
+            sweep_conflict_budget: Some(250),
             solver_config: SolverConfig::default(),
             cancel: None,
             lemma_store: None,
@@ -371,6 +382,38 @@ fn boundary_label(role: &str, ord: u64, bit: u64) -> ConeHash {
     h.finish()
 }
 
+/// Conflict budget of the probe each difference point is asked under
+/// while the sweep has not run. Large enough that GCD-, DES3- and
+/// SHA-sized redaction miters close every point without sweeping; small
+/// enough that IIR's multiplier miter gives up within a fraction of a
+/// second and sweeps.
+const PROBE_CONFLICTS: u64 = 4_000;
+
+/// The sweep policy decision, counted: one per miter whose sweep ran.
+static SWEEP_TRIGGERED: alice_obs::Counter = alice_obs::Counter::new(
+    "alice_cec_sweep_triggered_total",
+    "Miters whose SAT sweep ran because a difference point exhausted its probe",
+);
+
+/// Everything the fallback sweep needs, kept from build time until a
+/// difference point first exhausts the probe. The netlists are borrowed
+/// from the caller, so a miter that never sweeps copies neither.
+struct PendingSweep<'n> {
+    enc: Encoder,
+    a: SweepSide<'n>,
+    b: SweepSide<'n>,
+    pair_budget: Option<u64>,
+    lemma_store: Option<Arc<Store>>,
+}
+
+/// Where a [`Miter`] stands with its one on-demand sweep.
+enum Sweep<'n> {
+    /// Not run yet: queries probe first.
+    Pending(Box<PendingSweep<'n>>),
+    /// Ran once; every later query uses the swept engine.
+    Done(SweepStats),
+}
+
 /// The SAT engine behind a [`Miter`]: one CDCL solver, or a portfolio
 /// racing diversified members on every solve.
 enum Engine {
@@ -417,6 +460,15 @@ impl Engine {
 /// Every query resets the engine to the root afterwards, so queries may
 /// be posed in any order.
 ///
+/// # Sweeping on demand
+///
+/// Neither build sweeps. While the sweep has not run, each difference
+/// point is first asked under a fixed probe budget. The first point that exhausts it (and is not
+/// cancelled) resets the engine to the root, runs the SAT sweep into the
+/// same engine, and is re-asked under [`MiterOptions::conflict_budget`];
+/// every later point and key runs on the swept engine.
+/// [`Miter::sweep_stats`] tells whether and how the sweep ran.
+///
 /// # Equivalence of the two encodings
 ///
 /// For any complete key, a keyed query returns a *bit-identical*
@@ -426,7 +478,10 @@ impl Engine {
 /// bits to precisely the folded constants. Only wall-clock differs —
 /// the keyed CNF keeps the mux trees the folded encode removes, and in
 /// exchange amortizes encode and search effort across every key.
-pub struct Miter {
+///
+/// A miter borrows the two netlists it was built from (`'n`): the
+/// on-demand sweep simulates them.
+pub struct Miter<'n> {
     engine: Engine,
     shared_inputs: Vec<(Symbol, Vec<Lit>)>,
     shared_state: Vec<(Symbol, Lit)>,
@@ -440,8 +495,9 @@ pub struct Miter {
     diffs: Vec<(String, Lit)>,
     /// The encoder's constant-true literal (to recognize folded diffs).
     tru: Lit,
-    sweep_stats: SweepStats,
+    sweep: Sweep<'n>,
     budget: Option<u64>,
+    cancel: Option<CancelToken>,
 }
 
 /// Encodes the miter of `a` against `b` into a fresh engine.
@@ -452,13 +508,13 @@ pub struct Miter {
 /// cones exactly like ordinary free key state (`keystate` by revised
 /// ordinal): a lemma proven with the key free holds for every key, so
 /// it is sound wherever a free-key lemma is.
-fn assemble(
-    a: &Netlist,
-    b: &Netlist,
+fn assemble<'n>(
+    a: &'n Netlist,
+    b: &'n Netlist,
     opts: &MiterOptions,
     keyed: bool,
     portfolio: usize,
-) -> Result<Miter, MiterError> {
+) -> Result<Miter<'n>, MiterError> {
     let _span = alice_obs::span("cec.build");
     let mut engine = if portfolio > 1 {
         let mut configs = diversified_configs(portfolio);
@@ -642,39 +698,6 @@ fn assemble(
         )
     };
 
-    // --- SAT sweeping: stitch matching internal nodes together. ---
-    let sweep_stats = if opts.sweep {
-        sweep(
-            &mut *s,
-            &mut enc,
-            &SweepSide {
-                n: a,
-                input_lits: &bind_a,
-                state_lits: &state_a,
-                input_base: &wbind_a,
-                state_base: &wstate_a,
-                input_labels: &labels_a,
-                state_labels: &slabels_a,
-                node_lits: &enc_a.node_lits,
-            },
-            &SweepSide {
-                n: b,
-                input_lits: &bind_b,
-                state_lits: &state_b,
-                input_base: &wbind_b,
-                state_base: &wstate_b,
-                input_labels: &labels_b,
-                state_labels: &slabels_b,
-                node_lits: &enc_b.node_lits,
-            },
-            opts.sweep_conflict_budget,
-            opts.lemma_store.as_deref(),
-            opts.cancel.as_ref(),
-        )
-    } else {
-        SweepStats::default()
-    };
-
     // --- Difference points: outputs... ---
     let b_outs: HashMap<Symbol, &Vec<Lit>> = enc_b.outputs.iter().map(|(n, l)| (*n, l)).collect();
     let mut diffs = Vec::new();
@@ -708,6 +731,34 @@ fn assemble(
         }
     }
 
+    // --- Keep the sweep's inputs for the first exhausted probe. ---
+    let tru = enc.tru();
+    let sweep = Sweep::Pending(Box::new(PendingSweep {
+        enc,
+        a: SweepSide {
+            n: a,
+            input_lits: bind_a,
+            state_lits: state_a,
+            input_base: wbind_a,
+            state_base: wstate_a,
+            input_labels: labels_a,
+            state_labels: slabels_a,
+            node_lits: enc_a.node_lits,
+        },
+        b: SweepSide {
+            n: b,
+            input_lits: bind_b,
+            state_lits: state_b,
+            input_base: wbind_b,
+            state_base: wstate_b,
+            input_labels: labels_b,
+            state_labels: slabels_b,
+            node_lits: enc_b.node_lits,
+        },
+        pair_budget: opts.sweep_conflict_budget,
+        lemma_store: opts.lemma_store.clone(),
+    }));
+
     let slot_of = key_slots.iter().copied().collect();
     Ok(Miter {
         engine,
@@ -718,13 +769,14 @@ fn assemble(
         key_slots,
         slot_of,
         diffs,
-        tru: enc.tru(),
-        sweep_stats,
+        tru,
+        sweep,
         budget: opts.conflict_budget,
+        cancel: opts.cancel.clone(),
     })
 }
 
-impl Miter {
+impl<'n> Miter<'n> {
     /// Builds the folded miter of golden `a` against revised `b`:
     /// [`MiterOptions::pin_state`] registers become constants. Query it
     /// with an empty key.
@@ -733,7 +785,11 @@ impl Miter {
     ///
     /// Returns [`MiterError`] when the two netlists' boundaries cannot be
     /// paired (see the variants for the exact conditions).
-    pub fn build(a: &Netlist, b: &Netlist, opts: &MiterOptions) -> Result<Miter, MiterError> {
+    pub fn build(
+        a: &'n Netlist,
+        b: &'n Netlist,
+        opts: &MiterOptions,
+    ) -> Result<Miter<'n>, MiterError> {
         assemble(a, b, opts, false, 1)
     }
 
@@ -749,11 +805,11 @@ impl Miter {
     ///
     /// The same conditions as [`Miter::build`].
     pub fn build_keyed(
-        a: &Netlist,
-        b: &Netlist,
+        a: &'n Netlist,
+        b: &'n Netlist,
         opts: &MiterOptions,
         portfolio: usize,
-    ) -> Result<Miter, MiterError> {
+    ) -> Result<Miter<'n>, MiterError> {
         assemble(a, b, opts, true, portfolio)
     }
 
@@ -776,9 +832,67 @@ impl Miter {
         (e.num_vars(), e.num_clauses())
     }
 
-    /// Statistics of the SAT-sweeping pass that ran at build time.
-    pub fn sweep_stats(&self) -> SweepStats {
-        self.sweep_stats
+    /// Statistics of the SAT sweep, or `None` while it has not run (no
+    /// query has exhausted the probe yet).
+    pub fn sweep_stats(&self) -> Option<SweepStats> {
+        match self.sweep {
+            Sweep::Pending(_) => None,
+            Sweep::Done(stats) => Some(stats),
+        }
+    }
+
+    /// Runs the pending sweep now, as if a query had triggered it; a
+    /// no-op once it has run. For differential tests against the
+    /// eagerly swept miter.
+    #[doc(hidden)]
+    pub fn force_sweep(&mut self) {
+        self.run_sweep("forced");
+    }
+
+    /// Runs the pending sweep into the engine from the root, recording
+    /// `trigger` (the difference point that exhausted its probe) in the
+    /// `cec.sweep` span, and frees what it needed.
+    fn run_sweep(&mut self, trigger: &str) {
+        let Sweep::Pending(p) = &mut self.sweep else {
+            return;
+        };
+        SWEEP_TRIGGERED.inc();
+        let _span = alice_obs::span_with("cec.sweep", || trigger.to_string());
+        let s = self.engine.get();
+        s.reset_to_root();
+        let stats = sweep(
+            s,
+            &mut p.enc,
+            &p.a,
+            &p.b,
+            p.pair_budget,
+            p.lemma_store.as_deref(),
+            self.cancel.as_ref(),
+        );
+        self.sweep = Sweep::Done(stats);
+    }
+
+    /// Solves `assumptions`, whose last literal is difference point
+    /// `point`. While the sweep is pending the point is first asked
+    /// under the probe budget, and an exhausted, uncancelled probe
+    /// sweeps and re-asks under the caller's budget.
+    fn ask(&mut self, assumptions: &[Lit], point: usize) -> SatResult {
+        if let Sweep::Done(_) = self.sweep {
+            return self.engine.get().solve_with(assumptions);
+        }
+        let probe = self
+            .budget
+            .map_or(PROBE_CONFLICTS, |b| b.min(PROBE_CONFLICTS));
+        let e = self.engine.get();
+        e.set_budget(Some(probe));
+        let r = e.solve_with(assumptions);
+        e.set_budget(self.budget);
+        if r != SatResult::Unknown || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return r;
+        }
+        let trigger = self.diffs[point].0.clone();
+        self.run_sweep(&trigger);
+        self.engine.get().solve_with(assumptions)
     }
 
     /// Cumulative engine search effort (sweeping plus every query so
@@ -878,7 +992,7 @@ impl Miter {
                 SatResult::Sat
             } else {
                 assumptions.push(d);
-                let r = self.engine.get().solve_with(&assumptions);
+                let r = self.ask(&assumptions, i);
                 assumptions.pop();
                 r
             };
@@ -928,7 +1042,7 @@ impl Miter {
                 continue;
             }
             assumptions.push(d);
-            let r = self.engine.get().solve_with(&assumptions);
+            let r = self.ask(&assumptions, i);
             assumptions.pop();
             match r {
                 SatResult::Unsat => {}
@@ -1023,11 +1137,11 @@ pub struct RaceOutcome {
 }
 
 /// The portfolio diversification of one miter configuration: config 0 is
-/// the caller's options verbatim; odd configs flip the sweep-first vs.
-/// monolithic encoding split; even configs scale the sweep budget; every
-/// config beyond 0 gets its own CDCL heuristics from
-/// [`diversified_configs`]. None of this can change a verdict — only
-/// which verdict arrives first.
+/// the caller's options verbatim; config `i > 0` runs the CDCL
+/// heuristics `configs[i]` from [`diversified_configs`] and scales the
+/// per-pair sweep budget by `2^(i/2)`. Every config sweeps on demand
+/// like a lone miter. None of this can change a verdict — only which
+/// verdict arrives first.
 fn diversified_options(
     base: &MiterOptions,
     i: usize,
@@ -1035,16 +1149,12 @@ fn diversified_options(
     token: &CancelToken,
 ) -> MiterOptions {
     let mut o = base.clone();
-    o.solver_config = configs[i];
     o.cancel = Some(token.clone());
     if i > 0 {
-        if i % 2 == 1 {
-            o.sweep = !base.sweep;
-        } else {
-            o.sweep_conflict_budget = base
-                .sweep_conflict_budget
-                .map(|b| b.saturating_mul(1 << (i / 2).min(8)));
-        }
+        o.solver_config = configs[i];
+        o.sweep_conflict_budget = base
+            .sweep_conflict_budget
+            .map(|b| b.saturating_mul(1 << (i / 2).min(8)));
     }
     o
 }
@@ -1053,6 +1163,11 @@ fn diversified_options(
 /// threads; the first definitive verdict wins and the losers are
 /// cooperatively cancelled (they stop within one propagation round and
 /// are joined before this returns — no threads outlive the call).
+///
+/// The racers differ only in CDCL heuristics and per-pair sweep budget
+/// (see `diversified_options`). Each one probes and sweeps on demand
+/// like a lone miter, so no racer skips a sweep its miter needs (IIR's
+/// multiplier miter takes minutes unswept).
 ///
 /// `n <= 1` degenerates to a plain [`Miter::build`] + [`Miter::prove`]
 /// on the calling thread with byte-identical behavior. A
@@ -1398,7 +1513,6 @@ mod tests {
         // steer wall-clock, never verdicts.
         let budgeted = MiterOptions {
             conflict_budget: Some(1),
-            sweep: false,
             solver_config: SolverConfig {
                 invert_phase: true,
                 seed: 42,
@@ -1537,7 +1651,6 @@ mod tests {
         // verdict is only reported when nobody answers definitively.
         let opts = MiterOptions {
             conflict_budget: Some(0),
-            sweep: false,
             sweep_conflict_budget: Some(0),
             ..MiterOptions::default()
         };
@@ -1593,7 +1706,8 @@ mod tests {
             ..MiterOptions::default()
         };
         let mut m = Miter::build(&a, &b, &opts).expect("builds");
-        let s1 = m.sweep_stats();
+        m.force_sweep();
+        let s1 = m.sweep_stats().expect("forced sweep ran");
         assert!(s1.merged > 0, "sweep must stitch the xor decompositions");
         assert_eq!(s1.lemma_hits, 0, "cold store cannot serve lemmas");
         assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
@@ -1610,7 +1724,8 @@ mod tests {
             ..MiterOptions::default()
         };
         let mut m = Miter::build(&a, &b, &opts).expect("builds");
-        let s2 = m.sweep_stats();
+        m.force_sweep();
+        let s2 = m.sweep_stats().expect("forced sweep ran");
         assert!(s2.lemma_hits > 0, "warm lemmas must be served: {s2:?}");
         assert_eq!(s2.merged, s1.merged, "lemmas change cost, not merges");
         assert!(
@@ -1668,7 +1783,8 @@ mod tests {
         let store = Arc::new(Store::open(&dir).expect("open"));
         let o0 = pin(false, &store);
         let mut m = Miter::build(&g, &r, &o0).expect("builds");
-        let s1 = m.sweep_stats();
+        m.force_sweep();
+        let s1 = m.sweep_stats().expect("forced sweep ran");
         assert!(s1.merged > 0);
         assert_eq!(s1.lemma_hits, 0);
         assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
@@ -1683,7 +1799,8 @@ mod tests {
             "different pinned key bits must be a whole-miter cache miss"
         );
         let mut m = Miter::build(&g, &r, &o1).expect("builds");
-        let s2 = m.sweep_stats();
+        m.force_sweep();
+        let s2 = m.sweep_stats().expect("forced sweep ran");
         assert!(
             s2.lemma_hits > 0,
             "key-independent lemmas must transfer: {s2:?}"
@@ -1721,6 +1838,39 @@ mod tests {
         };
         let mut m = Miter::build(&a, &b, &opts).expect("builds");
         assert_eq!(m.prove(&[]), Ok(CecResult::ResourceLimit));
+        assert_eq!(m.sweep_stats(), None, "a cancelled probe must not sweep");
+    }
+
+    #[test]
+    fn easy_miters_never_sweep() {
+        // Every point closes inside the probe: no sweep, and no stats.
+        let (a, b) = xor_vs_decomposed(4);
+        let mut m = Miter::build(&a, &b, &MiterOptions::default()).expect("builds");
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
+        assert!(m.corruption(&[]).expect("no key").corrupted.is_empty());
+        assert_eq!(m.sweep_stats(), None);
+    }
+
+    #[test]
+    fn an_exhausted_probe_sweeps_once_and_re_asks() {
+        // A zero conflict budget exhausts the probe on the first point
+        // that needs search. The sweep then proves every output pair
+        // equal, so the re-ask closes at the root within the same zero
+        // budget, and later points and queries reuse the swept engine.
+        let (a, b) = xor_vs_decomposed(4);
+        let opts = MiterOptions {
+            conflict_budget: Some(0),
+            ..MiterOptions::default()
+        };
+        alice_obs::enable_metrics();
+        let triggered = SWEEP_TRIGGERED.get();
+        let mut m = Miter::build(&a, &b, &opts).expect("builds");
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
+        assert!(SWEEP_TRIGGERED.get() > triggered, "the trigger is counted");
+        let swept = m.sweep_stats().expect("the exhausted probe swept");
+        assert!(swept.merged > 0, "{swept:?}");
+        assert_eq!(m.prove(&[]), Ok(CecResult::Equivalent));
+        assert_eq!(m.sweep_stats(), Some(swept), "the sweep runs once");
     }
 
     /// Golden `y = a`; revised `y = a ^ cfg` with a 2-bit cfg chain:

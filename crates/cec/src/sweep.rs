@@ -1,5 +1,14 @@
-//! SAT sweeping: proving internal equivalences bottom-up before the
-//! output miter is attempted.
+//! SAT sweeping: proving internal equivalences bottom-up when the
+//! output miter alone is too hard.
+//!
+//! **When it runs.** Not at build time: a [`crate::Miter`] asks each
+//! difference point under a fixed conflict probe first, and only the
+//! first point that exhausts it runs this pass, once, into the miter's
+//! own engine (and is then re-asked). Redaction miters whose changed
+//! logic is small close every point inside the probe and never sweep;
+//! a redacted multiplier does not, and needs the sweep. The `cec.sweep`
+//! span's detail names the triggering point, and
+//! `alice_cec_sweep_triggered_total` counts the triggers.
 //!
 //! A plain miter over an original design and its LUT-mapped twin asks the
 //! solver to rediscover, output by output, that every LUT computes the
@@ -175,18 +184,19 @@ pub struct SweepStats {
 /// or cone hash.
 pub(crate) type ConeHash = (u64, u64);
 
-/// The per-netlist boundary handles the sweep needs: literal bindings (to
-/// read counterexample models), base signature words, and boundary
-/// labels (for the persistent lemma cache), all in lockstep.
-pub(crate) struct SweepSide<'a> {
-    pub n: &'a Netlist,
-    pub input_lits: &'a HashMap<Symbol, Vec<Lit>>,
-    pub state_lits: &'a HashMap<Symbol, Lit>,
-    pub input_base: &'a HashMap<Symbol, Vec<Sig>>,
-    pub state_base: &'a HashMap<Symbol, Sig>,
-    pub input_labels: &'a HashMap<Symbol, Vec<ConeHash>>,
-    pub state_labels: &'a HashMap<Symbol, ConeHash>,
-    pub node_lits: &'a [Lit],
+/// One side of a miter as the sweep sees it: the netlist and its
+/// boundary handles — literal bindings (to read counterexample models),
+/// base signature words, and boundary labels (for the persistent lemma
+/// cache), all in lockstep — plus the solver literal of every node.
+pub(crate) struct SweepSide<'n> {
+    pub n: &'n Netlist,
+    pub input_lits: HashMap<Symbol, Vec<Lit>>,
+    pub state_lits: HashMap<Symbol, Lit>,
+    pub input_base: HashMap<Symbol, Vec<Sig>>,
+    pub state_base: HashMap<Symbol, Sig>,
+    pub input_labels: HashMap<Symbol, Vec<ConeHash>>,
+    pub state_labels: HashMap<Symbol, ConeHash>,
+    pub node_lits: Vec<Lit>,
 }
 
 fn hash_parts(tag: &str, parts: &[ConeHash]) -> ConeHash {
@@ -355,7 +365,6 @@ pub(crate) fn sweep(
     lemma_store: Option<&Store>,
     cancel: Option<&CancelToken>,
 ) -> SweepStats {
-    let _span = alice_obs::span("cec.sweep");
     let debug = std::env::var_os("ALICE_CEC_DEBUG").is_some();
     let saved_budget = solver.budget();
     solver.set_budget(pair_budget);
@@ -363,8 +372,8 @@ pub(crate) fn sweep(
     // are computed once — and only when a lemma store is listening.
     let cones = lemma_store.map(|_| {
         (
-            cone_hashes(a.n, a.input_labels, a.state_labels),
-            cone_hashes(b.n, b.input_labels, b.state_labels),
+            cone_hashes(a.n, &a.input_labels, &a.state_labels),
+            cone_hashes(b.n, &b.input_labels, &b.state_labels),
         )
     });
     // All boundary literals whose model values a counterexample snapshot

@@ -1040,67 +1040,22 @@ impl<'a> Elaborator<'a> {
                     UnaryOp::RedXnor => vec![words::reduce_xor(n, &av).compl()],
                 })
             }
-            Expr::Binary(op, a, b) => {
-                let av = self.eval_expr(n, scope, a, env)?;
-                let bv = self.eval_expr(n, scope, b, env)?;
-                Ok(match op {
-                    BinaryOp::And => words::and(n, &av, &bv),
-                    BinaryOp::Or => words::or(n, &av, &bv),
-                    BinaryOp::Xor => words::xor(n, &av, &bv),
-                    BinaryOp::Xnor => words::not(&words::xor(n, &av, &bv)),
-                    BinaryOp::LogicAnd => {
-                        let ar = words::reduce_or(n, &av);
-                        let br = words::reduce_or(n, &bv);
-                        vec![n.and(ar, br)]
-                    }
-                    BinaryOp::LogicOr => {
-                        let ar = words::reduce_or(n, &av);
-                        let br = words::reduce_or(n, &bv);
-                        vec![n.or(ar, br)]
-                    }
-                    BinaryOp::Eq => vec![words::eq(n, &av, &bv)],
-                    BinaryOp::Ne => vec![words::eq(n, &av, &bv).compl()],
-                    BinaryOp::Lt => vec![words::lt(n, &av, &bv)],
-                    BinaryOp::Ge => vec![words::lt(n, &av, &bv).compl()],
-                    BinaryOp::Gt => vec![words::lt(n, &bv, &av)],
-                    BinaryOp::Le => vec![words::lt(n, &bv, &av).compl()],
-                    BinaryOp::Add => words::add(n, &av, &bv),
-                    BinaryOp::Sub => words::sub(n, &av, &bv),
-                    BinaryOp::Mul => words::mul(n, &av, &bv),
-                    BinaryOp::Shl => match word_as_const(&bv) {
-                        Some(amt) => words::shl_const(&av, amt as u32),
-                        None => words::shl_dyn(n, &av, &bv),
-                    },
-                    BinaryOp::Shr => match word_as_const(&bv) {
-                        Some(amt) => words::shr_const(&av, amt as u32),
-                        None => words::shr_dyn(n, &av, &bv),
-                    },
-                    BinaryOp::Div | BinaryOp::Mod => match word_as_const(&bv) {
-                        // Power-of-two divisors stay pure wiring.
-                        Some(amt) if amt.is_power_of_two() => {
-                            let k = amt.trailing_zeros();
-                            if *op == BinaryOp::Div {
-                                words::shr_const(&av, k)
-                            } else {
-                                let mut v = av.clone();
-                                v.truncate(k as usize);
-                                v
-                            }
-                        }
-                        // Everything else lowers to a restoring divider
-                        // array (constant non-power-of-two divisors
-                        // included — constant folding inside the netlist
-                        // builder collapses their compare rows).
-                        _ => {
-                            let (q, r) = words::divmod(n, &av, &bv);
-                            if *op == BinaryOp::Div {
-                                q
-                            } else {
-                                r
-                            }
-                        }
-                    },
-                })
+            Expr::Binary(..) => {
+                // A left-deep chain (`a + b + c + …`) is walked along its
+                // left spine without recursing, so a long chain costs
+                // stack only for its right operands.
+                let mut spine = Vec::new();
+                let mut leftmost = e;
+                while let Expr::Binary(op, a, b) = leftmost {
+                    spine.push((*op, &**b));
+                    leftmost = a;
+                }
+                let mut acc = self.eval_expr(n, scope, leftmost, env)?;
+                for (op, b) in spine.into_iter().rev() {
+                    let bv = self.eval_expr(n, scope, b, env)?;
+                    acc = binary_word(n, op, &acc, &bv);
+                }
+                Ok(acc)
             }
             Expr::Ternary(c, t, f) => {
                 let cv = self.eval_expr(n, scope, c, env)?;
@@ -1162,6 +1117,68 @@ impl<'a> Elaborator<'a> {
 
     fn try_const(&self, scope: &Scope<'_>, e: &Expr) -> Option<i64> {
         const_eval(e, &scope.params)
+    }
+}
+
+/// Lowers `av op bv` to a word.
+fn binary_word(n: &mut Netlist, op: BinaryOp, av: &Word, bv: &Word) -> Word {
+    match op {
+        BinaryOp::And => words::and(n, av, bv),
+        BinaryOp::Or => words::or(n, av, bv),
+        BinaryOp::Xor => words::xor(n, av, bv),
+        BinaryOp::Xnor => words::not(&words::xor(n, av, bv)),
+        BinaryOp::LogicAnd => {
+            let ar = words::reduce_or(n, av);
+            let br = words::reduce_or(n, bv);
+            vec![n.and(ar, br)]
+        }
+        BinaryOp::LogicOr => {
+            let ar = words::reduce_or(n, av);
+            let br = words::reduce_or(n, bv);
+            vec![n.or(ar, br)]
+        }
+        BinaryOp::Eq => vec![words::eq(n, av, bv)],
+        BinaryOp::Ne => vec![words::eq(n, av, bv).compl()],
+        BinaryOp::Lt => vec![words::lt(n, av, bv)],
+        BinaryOp::Ge => vec![words::lt(n, av, bv).compl()],
+        BinaryOp::Gt => vec![words::lt(n, bv, av)],
+        BinaryOp::Le => vec![words::lt(n, bv, av).compl()],
+        BinaryOp::Add => words::add(n, av, bv),
+        BinaryOp::Sub => words::sub(n, av, bv),
+        BinaryOp::Mul => words::mul(n, av, bv),
+        BinaryOp::Shl => match word_as_const(bv) {
+            Some(amt) => words::shl_const(av, amt as u32),
+            None => words::shl_dyn(n, av, bv),
+        },
+        BinaryOp::Shr => match word_as_const(bv) {
+            Some(amt) => words::shr_const(av, amt as u32),
+            None => words::shr_dyn(n, av, bv),
+        },
+        BinaryOp::Div | BinaryOp::Mod => match word_as_const(bv) {
+            // Power-of-two divisors stay pure wiring.
+            Some(amt) if amt.is_power_of_two() => {
+                let k = amt.trailing_zeros();
+                if op == BinaryOp::Div {
+                    words::shr_const(av, k)
+                } else {
+                    let mut v = av.clone();
+                    v.truncate(k as usize);
+                    v
+                }
+            }
+            // Everything else lowers to a restoring divider
+            // array (constant non-power-of-two divisors
+            // included — constant folding inside the netlist
+            // builder collapses their compare rows).
+            _ => {
+                let (q, r) = words::divmod(n, av, bv);
+                if op == BinaryOp::Div {
+                    q
+                } else {
+                    r
+                }
+            }
+        },
     }
 }
 
@@ -1269,6 +1286,57 @@ mod tests {
     fn build(src: &str, top: &str) -> Netlist {
         let f = parse_source(src).expect("parse");
         elaborate(&f, top).expect("elaborate")
+    }
+
+    #[test]
+    fn input_at_the_nesting_limit_elaborates_on_a_worker_stack() {
+        // The deepest expressions the parser accepts must also get
+        // through elaboration on a 2 MiB thread, the stack a `par`
+        // worker runs a design on (32 MiB unoptimized, whose frames are
+        // several times larger).
+        let depth = alice_verilog::parser::MAX_NESTING - 1;
+        let parens = format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        let chain = vec!["a"; depth + 1].join(" ^ ");
+        let src = format!(
+            "module m(input wire a, output wire y, output wire z); \
+             assign y = {parens}; assign z = {chain}; endmodule"
+        );
+        let mib = if cfg!(debug_assertions) { 32 } else { 2 };
+        let n = std::thread::Builder::new()
+            .stack_size(mib << 20)
+            .spawn(move || build(&src, "m"))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        let a = Lit::new(n.inputs[0].1[0], false);
+        assert_eq!(n.outputs[0].1[0], a);
+        let parity = if (depth + 1) % 2 == 1 { a } else { Lit::FALSE };
+        assert_eq!(
+            n.outputs[1].1[0], parity,
+            "`a ^ a ^ …` is the term count's parity"
+        );
+    }
+
+    #[test]
+    fn a_thousand_term_chain_elaborates_on_a_worker_stack() {
+        // Elaboration walks a chain's left spine in a loop, so a long
+        // chain needs no deep stack even unoptimized.
+        let src = format!(
+            "module m(input wire [7:0] a, input wire [7:0] b, output wire [7:0] y); \
+             assign y = {} - b; endmodule",
+            vec!["a"; 1_000].join(" + ")
+        );
+        let n = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || build(&src, "m"))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        let mut sim = Simulator::new(&n);
+        sim.set_input("a", &Bits::from_u64(0x5a, 8));
+        sim.set_input("b", &Bits::from_u64(0x13, 8));
+        sim.settle();
+        assert_eq!(sim.output("y").to_u64(), Some((1_000 * 0x5a - 0x13) & 0xff));
     }
 
     #[test]

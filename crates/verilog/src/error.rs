@@ -20,6 +20,10 @@ pub enum ParseErrorKind {
     },
     /// A construct outside the supported synthesizable subset.
     Unsupported(String),
+    /// Expressions, statements or concatenations nested deeper than
+    /// [`crate::parser::MAX_NESTING`] levels. The parser refuses them
+    /// rather than overflow the stack on hostile input.
+    RecursionLimit,
 }
 
 /// An error produced while lexing or parsing Verilog source.
@@ -53,6 +57,12 @@ impl fmt::Display for ParseError {
             ParseErrorKind::Unsupported(what) => {
                 write!(f, "unsupported construct ({what}) at {}", self.span)
             }
+            ParseErrorKind::RecursionLimit => write!(
+                f,
+                "nesting deeper than {} levels at {}",
+                crate::parser::MAX_NESTING,
+                self.span
+            ),
         }
     }
 }

@@ -5,6 +5,50 @@ use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::lex;
 use crate::token::{Keyword, Span, Token, TokenKind};
 
+/// The deepest nesting the parser accepts, bounding two depths. Its own
+/// recursion: parentheses, unary operators, ternaries, statements and
+/// lvalue concatenations each go one level down. And the depth of the
+/// tree it builds, which the walkers after it recurse on: every node
+/// but a parenthesis adds a level, and every operator of a left-deep
+/// chain (`a + b + …`, `a[i][j]…`) sinks the chain built so far one
+/// level. A chain is cheap to parse, but the printer writes
+/// `a + b + c` back as `(a + b) + c`, so a chain of `n` terms re-reads
+/// as `n - 2` nested parentheses, and the flow re-parses its own output
+/// to verify it. Deeper input fails with
+/// [`ParseErrorKind::RecursionLimit`] instead of overflowing the stack.
+///
+/// Sized for an optimized build on a 2 MiB thread stack (the default
+/// for spawned threads, and so for `par` workers): there the parser
+/// itself, the deepest walker, reaches about 1,490 parenthesis levels,
+/// and elaboration walks a chain's left spine without recursing. An
+/// unoptimized build uses several times more stack per level.
+pub const MAX_NESTING: usize = 1_024;
+
+/// Binary operators with their precedence, loosest first; every level
+/// is left-associative.
+const BINARY_OPS: [(&str, BinaryOp, u8); 20] = [
+    ("||", BinaryOp::LogicOr, 0),
+    ("&&", BinaryOp::LogicAnd, 1),
+    ("|", BinaryOp::Or, 2),
+    ("^", BinaryOp::Xor, 3),
+    ("~^", BinaryOp::Xnor, 3),
+    ("^~", BinaryOp::Xnor, 3),
+    ("&", BinaryOp::And, 4),
+    ("==", BinaryOp::Eq, 5),
+    ("!=", BinaryOp::Ne, 5),
+    ("<=", BinaryOp::Le, 6),
+    (">=", BinaryOp::Ge, 6),
+    ("<", BinaryOp::Lt, 6),
+    (">", BinaryOp::Gt, 6),
+    ("<<", BinaryOp::Shl, 7),
+    (">>", BinaryOp::Shr, 7),
+    ("+", BinaryOp::Add, 8),
+    ("-", BinaryOp::Sub, 8),
+    ("*", BinaryOp::Mul, 9),
+    ("/", BinaryOp::Div, 9),
+    ("%", BinaryOp::Mod, 9),
+];
+
 /// Parses a full source file.
 ///
 /// # Errors
@@ -28,6 +72,9 @@ pub fn parse_source(src: &str) -> Result<SourceFile, ParseError> {
         tokens,
         pos: 0,
         pending_nets: Vec::new(),
+        depth: 0,
+        level: 0,
+        peak: 0,
     }
     .source_file()
 }
@@ -37,9 +84,72 @@ struct Parser {
     pos: usize,
     /// Extra declarations from `wire a, b, c;` waiting to be emitted as items.
     pending_nets: Vec<NetDecl>,
+    /// Recursion depth of the parser (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Tree level of the node being parsed: `depth` without the
+    /// parentheses, which add no node.
+    level: usize,
+    /// Deepest level reached by the innermost chain being parsed, as if
+    /// its root sat at the level the chain started from.
+    peak: usize,
 }
 
 impl Parser {
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        Err(ParseError::new(
+            ParseErrorKind::RecursionLimit,
+            self.peek_span(),
+        ))
+    }
+
+    /// Runs `f` for a node one level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.level += 1;
+        self.peak = self.peak.max(self.level);
+        let r = self.recurse(f);
+        self.level -= 1;
+        r
+    }
+
+    /// Runs `f` one recursion level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn recurse<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Starts a left-deep chain at the current level, returning the
+    /// enclosing chain's peak for [`Parser::end_chain`].
+    fn start_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.peak, self.level)
+    }
+
+    /// A new node on top of the chain sinks everything below it one
+    /// level, refusing to push its deepest node past [`MAX_NESTING`].
+    fn sink(&mut self) -> Result<(), ParseError> {
+        if self.peak >= MAX_NESTING {
+            return self.too_deep();
+        }
+        self.peak += 1;
+        Ok(())
+    }
+
+    fn end_chain(&mut self, outer_peak: usize) {
+        self.peak = self.peak.max(outer_peak);
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -368,6 +478,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw(Keyword::Begin) {
             // optional label
             if self.eat_punct(":") {
@@ -501,9 +615,9 @@ impl Parser {
 
     fn lvalue(&mut self) -> Result<LValue, ParseError> {
         if self.eat_punct("{") {
-            let mut parts = vec![self.lvalue()?];
+            let mut parts = vec![self.nested(Self::lvalue)?];
             while self.eat_punct(",") {
-                parts.push(self.lvalue()?);
+                parts.push(self.nested(Self::lvalue)?);
             }
             self.expect_punct("}")?;
             return Ok(LValue::Concat(parts));
@@ -527,108 +641,45 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.logic_or()?;
-        if self.eat_punct("?") {
+        let outer = self.start_chain();
+        let cond = self.binary(0)?;
+        let e = if self.eat_punct("?") {
             let a = self.expr()?;
             self.expect_punct(":")?;
             let b = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)))
+            self.sink()?;
+            Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b))
         } else {
-            Ok(cond)
+            cond
+        };
+        self.end_chain(outer);
+        Ok(e)
+    }
+
+    /// Precedence climbing over [`BINARY_OPS`]: parses a left-associative
+    /// chain of operators binding at least as tightly as `min_prec`. One
+    /// stack frame per precedence step instead of one function per
+    /// level keeps each parenthesis level cheap on the stack.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
+        let mut lhs = self.unary()?;
+        loop {
+            let next = BINARY_OPS.iter().find(|&&(p, _, prec)| {
+                prec >= min_prec && matches!(self.peek(), TokenKind::Punct(q) if *q == p)
+            });
+            let Some(&(_, op, prec)) = next else {
+                self.end_chain(outer);
+                return Ok(lhs);
+            };
+            self.bump();
+            let rhs = self.binary(prec + 1)?;
+            self.sink()?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-    }
-
-    fn binary_level<F>(&mut self, next: F, ops: &[(&str, BinaryOp)]) -> Result<Expr, ParseError>
-    where
-        F: Fn(&mut Self) -> Result<Expr, ParseError>,
-    {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for &(p, op) in ops {
-                if matches!(self.peek(), TokenKind::Punct(q) if *q == p) {
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-                    continue 'outer;
-                }
-            }
-            return Ok(lhs);
-        }
-    }
-
-    fn logic_or(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::logic_and, &[("||", BinaryOp::LogicOr)])
-    }
-
-    fn logic_and(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::bit_or, &[("&&", BinaryOp::LogicAnd)])
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::bit_xor, &[("|", BinaryOp::Or)])
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::bit_and,
-            &[
-                ("^", BinaryOp::Xor),
-                ("~^", BinaryOp::Xnor),
-                ("^~", BinaryOp::Xnor),
-            ],
-        )
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Self::equality, &[("&", BinaryOp::And)])
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::relational,
-            &[("==", BinaryOp::Eq), ("!=", BinaryOp::Ne)],
-        )
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::shift,
-            &[
-                ("<=", BinaryOp::Le),
-                (">=", BinaryOp::Ge),
-                ("<", BinaryOp::Lt),
-                (">", BinaryOp::Gt),
-            ],
-        )
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::additive,
-            &[("<<", BinaryOp::Shl), (">>", BinaryOp::Shr)],
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::multiplicative,
-            &[("+", BinaryOp::Add), ("-", BinaryOp::Sub)],
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Self::unary,
-            &[
-                ("*", BinaryOp::Mul),
-                ("/", BinaryOp::Div),
-                ("%", BinaryOp::Mod),
-            ],
-        )
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
@@ -646,7 +697,7 @@ impl Parser {
         for &(p, op) in ops {
             if matches!(self.peek(), TokenKind::Punct(q) if *q == p) {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 return Ok(Expr::Unary(op, Box::new(e)));
             }
         }
@@ -654,6 +705,7 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut e = self.primary()?;
         while self.eat_punct("[") {
             let first = self.expr()?;
@@ -665,7 +717,9 @@ impl Parser {
                 self.expect_punct("]")?;
                 e = Expr::Bit(Box::new(e), Box::new(first));
             }
+            self.sink()?;
         }
+        self.end_chain(outer);
         Ok(e)
     }
 
@@ -681,7 +735,7 @@ impl Parser {
             }
             TokenKind::Punct("(") => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.recurse(Self::ternary)?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
@@ -822,6 +876,119 @@ endmodule
     #[test]
     fn error_on_garbage() {
         assert!(parse_source("modulo m; endmodule").is_err());
+    }
+
+    /// `assign y = (…(a)…);` with `parens` nested parentheses.
+    fn nested_parens(parens: usize) -> String {
+        format!(
+            "module m(input wire a, output wire y); assign y = {}a{}; endmodule",
+            "(".repeat(parens),
+            ")".repeat(parens)
+        )
+    }
+
+    /// `assign y = a + a + … + a;` with `ops` operators.
+    fn chain(ops: usize) -> String {
+        format!(
+            "module m(input wire a, output wire y); assign y = {}; endmodule",
+            vec!["a"; ops + 1].join(" + ")
+        )
+    }
+
+    /// Runs `f` on a worker-sized stack: 2 MiB in an optimized build
+    /// (see [`MAX_NESTING`]), 32 MiB in an unoptimized one, whose frames
+    /// are several times larger.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let mib = if cfg!(debug_assertions) { 32 } else { 2 };
+        std::thread::Builder::new()
+            .stack_size(mib << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_named_error() {
+        on_worker_stack(hostile_nesting);
+    }
+
+    fn hostile_nesting() {
+        let deep = 10_000;
+        let sources = [
+            nested_parens(deep),
+            format!(
+                "module m(input wire a, output wire y); assign y = {}a; endmodule",
+                "~".repeat(deep)
+            ),
+            format!(
+                "module m(input wire a, output reg y); always @(*) {}y = a;{} endmodule",
+                "begin ".repeat(deep),
+                " end".repeat(deep)
+            ),
+            format!(
+                "module m(input wire a, output wire y); assign {}y{} = a; endmodule",
+                "{".repeat(deep),
+                "}".repeat(deep)
+            ),
+            chain(deep),
+            format!(
+                "module m(input wire [1:0] a, output wire y); assign y = a{}; endmodule",
+                "[0]".repeat(deep)
+            ),
+        ];
+        for src in &sources {
+            let e = parse_source(src).expect_err("nesting beyond the limit");
+            assert_eq!(e.kind, ParseErrorKind::RecursionLimit, "{e}");
+            assert!(e.to_string().contains("nesting deeper than"), "{e}");
+        }
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        on_worker_stack(nesting_limit);
+    }
+
+    #[test]
+    fn a_thousand_term_chain_survives_a_print_round_trip() {
+        // The printer writes the chain back as nested parentheses, which
+        // must re-read to the same tree.
+        on_worker_stack(|| {
+            let f = parse_source(&chain(999)).expect("a 1,000-term chain parses");
+            let printed = crate::printer::print_source(&f);
+            assert!(printed.contains(&"(".repeat(900)), "{printed}");
+            assert_eq!(parse_source(&printed).expect("re-parses"), f);
+        });
+    }
+
+    fn nesting_limit() {
+        // The assign's expression is level 1; each parenthesis adds a
+        // recursion level, each chained operator a tree level.
+        for src in [nested_parens, chain] {
+            assert!(parse_source(&src(MAX_NESTING - 1)).is_ok());
+            assert_eq!(
+                parse_source(&src(MAX_NESTING)).map_err(|e| e.kind),
+                Err(ParseErrorKind::RecursionLimit)
+            );
+        }
+        // A deep operand counts where the chain finally puts it: one
+        // more operator sinks it past the limit.
+        let deep = format!("{}a", "~".repeat(MAX_NESTING - 2));
+        let with_tail = |tail: &str| {
+            format!("module m(input wire a, output wire y); assign y = a + {deep}{tail}; endmodule")
+        };
+        assert!(parse_source(&with_tail("")).is_ok());
+        assert_eq!(
+            parse_source(&with_tail(" + a")).map_err(|e| e.kind),
+            Err(ParseErrorKind::RecursionLimit)
+        );
+        // Sibling chains do not add up: each starts from its own level.
+        let src = format!(
+            "module m(input wire a, output wire y, output wire z); \
+             assign y = {0}; assign z = {0}; endmodule",
+            vec!["a"; MAX_NESTING].join(" ^ ")
+        );
+        assert!(parse_source(&src).is_ok());
     }
 
     #[test]
